@@ -149,6 +149,12 @@ def load_csv(path) -> ObservationalDataset:
                 raise DataError(
                     f"{path}: row {i + 2}, column '{c}': non-numeric cell {cell!r}") from None
 
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        i, j = bad[0]
+        raise DataError(f"{path}: row {i + 2}, column '{header[j]}': "
+                        f"non-finite cell {values[i, j]!r}")
+
     t_raw = values[:, col_index["t"]]
     bad = np.nonzero(~np.isin(t_raw, (0.0, 1.0)))[0]
     if bad.size:

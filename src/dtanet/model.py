@@ -10,10 +10,12 @@ mediator arm fed to a fixed head realizes the counterfactual mediator.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
+from .data import DataError
 from .nn import DenseNet, init_dense
 
 TREATED = "treated"
@@ -78,6 +80,8 @@ class EffectEstimates:
     att: float
     ame: float
     ade: float
+    pred_t: np.ndarray | None = None   # y_hat(treated head, treated mediator)
+    pred_c: np.ndarray | None = None   # y_hat(control head, control mediator)
 
 
 def init_model(d, rep_dim, med_dim, phi_hidden, psi_hidden, head_hidden,
@@ -129,16 +133,18 @@ def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
 
     ite = y_hat(treated head, treated mediator) - y_hat(control head, control
     mediator); mte swaps the mediator arm under the factual head; dte swaps
-    the head while holding the mediator arm fixed.
+    the head while holding the mediator arm fixed. The three representation
+    nets run once and each head twice, on the same inputs predict_outcomes
+    gives them, so every prediction equals predict_outcomes' bit for bit.
     """
     t = np.asarray(t)
     X = np.asarray(X, dtype=float)
     if X.shape[0] != t.shape[0]:
         raise ValueError("X and t lengths disagree")
-    yt_mt = predict_outcomes(model, X, TREATED, TREATED)
-    yt_mc = predict_outcomes(model, X, TREATED, CONTROL)
-    yc_mt = predict_outcomes(model, X, CONTROL, TREATED)
-    yc_mc = predict_outcomes(model, X, CONTROL, CONTROL)
+    Z, M_t, M_c = represent(model, X)
+    H_t, H_c = np.hstack([Z, M_t]), np.hstack([Z, M_c])
+    yt_mt, yt_mc = (model.head_t.forward(H)[0][:, 0] for H in (H_t, H_c))
+    yc_mt, yc_mc = (model.head_c.forward(H)[0][:, 0] for H in (H_t, H_c))
 
     treated = t == 1
     ite = yt_mt - yc_mc
@@ -153,6 +159,7 @@ def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
         att=att,
         ame=float(np.mean(mte_at_t)) if ite.size else float("nan"),
         ade=float(np.mean(dte_at_t)) if ite.size else float("nan"),
+        pred_t=yt_mt, pred_c=yc_mc,
     )
 
 
@@ -175,21 +182,40 @@ def save_checkpoint(path, model: DtanetModel, config: dict | None = None):
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: returns (model, config dict)."""
-    with np.load(path, allow_pickle=False) as data:
-        version = int(data["checkpoint_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
-        config = json.loads(str(data["config_json"]))
-        nets = {}
-        for name in ("phi", "psi_t", "psi_c", "head_t", "head_c"):
-            weights, biases = [], []
-            k = 0
-            while f"{name}.layer{k}.weight" in data:
-                weights.append(data[f"{name}.layer{k}.weight"])
-                biases.append(data[f"{name}.layer{k}.bias"])
-                k += 1
-            if not weights:
-                raise ValueError(f"checkpoint is missing the {name} network")
-            nets[name] = DenseNet(weights, biases)
-    return DtanetModel(**nets), config
+    """Inverse of save_checkpoint: returns (model, config dict).
+
+    Raises DataError for a file that is not an .npz archive of plain arrays
+    (pickled data is refused), for another checkpoint_version, and for a
+    missing or malformed network.
+    """
+    try:
+        data = np.load(path, allow_pickle=False)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DataError("a single array, not an .npz archive")
+        with data:
+            if "checkpoint_version" not in data:
+                raise DataError("no checkpoint_version entry")
+            version = data["checkpoint_version"]
+            if version.shape != () or int(version) != CHECKPOINT_VERSION:
+                raise DataError(f"unsupported checkpoint version {version}, "
+                                f"expected {CHECKPOINT_VERSION}")
+            config = json.loads(str(data["config_json"]))
+            if not isinstance(config, dict):
+                raise DataError("config_json is not a JSON object")
+            nets = {}
+            for name in ("phi", "psi_t", "psi_c", "head_t", "head_c"):
+                weights, biases = [], []
+                k = 0
+                while f"{name}.layer{k}.weight" in data:
+                    weights.append(data[f"{name}.layer{k}.weight"])
+                    biases.append(data[f"{name}.layer{k}.bias"])
+                    k += 1
+                if not weights:
+                    raise DataError(f"the {name} network is missing")
+                nets[name] = DenseNet(weights, biases)
+        return DtanetModel(**nets), config
+    except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
+        # DataError is a ValueError, and so are np.load's refusal of pickled
+        # data, malformed JSON and weights whose shapes do not chain
+        message = str(exc).splitlines()[0] if str(exc) else type(exc).__name__
+        raise DataError(f"{path}: not a usable dtanet checkpoint: {message}") from exc

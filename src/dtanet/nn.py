@@ -123,43 +123,120 @@ def init_dense(dims, rng: np.random.Generator) -> DenseNet:
     return DenseNet(weights, biases)
 
 
+# Adam updates its flat state in blocks of about this size, so that the
+# handful of arrays one block touches stays in cache between the passes.
+_BLOCK_BYTES = 256 * 1024
+
+
+class _Block:
+    """Parameters first..stop-1 of a bundle, laid out at m[lo:hi] and v[lo:hi].
+
+    A block of several parameters gathers their gradients into g; a block
+    of one parameter reads its gradient in place (g is None).
+    """
+
+    __slots__ = ("first", "stop", "m", "v", "g", "t1", "t2", "offsets")
+
+    def __init__(self, first, stop, lo, hi, m, v, g, t1, t2, offsets):
+        self.first, self.stop = first, stop
+        self.m, self.v, self.g = m[lo:hi], v[lo:hi], g
+        self.t1, self.t2 = t1[:hi - lo], t2[:hi - lo]
+        self.offsets = offsets
+
+
 @dataclass
 class AdamState:
-    """Per-bundle Adam accumulators. Shapes mirror the parameter list exactly."""
+    """Per-bundle Adam accumulators.
+
+    m and v are flat: the parameters' entries in list order, each parameter
+    raveled in C order. blocks holds the update layout and its scratch.
+    """
 
     alpha: float = 1e-3
     beta1: float = 0.8
     beta2: float = 0.95
     eps: float = 1e-8
     step: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    blocks: list = field(default_factory=list, repr=False)
 
 
 def adam_init(params, alpha=1e-3, beta1=0.8, beta2=0.95, eps=1e-8) -> AdamState:
+    sizes = [np.size(p) for p in params]
+    limit = _BLOCK_BYTES // 8
+    groups = []                      # [first, stop, length] of each block
+    for i, size in enumerate(sizes):
+        if groups and groups[-1][2] + size <= limit:
+            groups[-1][1] = i + 1
+            groups[-1][2] += size
+        else:
+            groups.append([i, i + 1, size])
+    total = sum(sizes)
+    m, v = np.zeros(total), np.zeros(total)
+    longest = max((n for _, _, n in groups), default=0)
+    t1, t2 = np.empty(longest), np.empty(longest)
+    gathered = np.empty(sum(n for first, stop, n in groups if stop - first > 1))
+    blocks, lo, g_lo = [], 0, 0
+    for first, stop, n in groups:
+        g = None
+        if stop - first > 1:
+            g = gathered[g_lo:g_lo + n]
+            g_lo += n
+        offsets = np.cumsum([0] + sizes[first:stop]).tolist()
+        blocks.append(_Block(first, stop, lo, lo + n, m, v, g, t1, t2, offsets))
+        lo += n
     return AdamState(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                     m=[np.zeros_like(p) for p in params],
-                     v=[np.zeros_like(p) for p in params])
+                     m=m, v=v, blocks=blocks)
 
 
 def adam_step(state: AdamState, params, grads):
     """One bias-corrected Adam update, in place on params.
 
-    Raises FloatingPointError on any non-finite gradient entry.
+    Every entry is computed as m = beta1 m + (1 - beta1) g,
+    v = beta2 v + ((1 - beta2) g) g and
+    p -= alpha (m / bc1) / (sqrt(v / bc2) + eps), in that operation order.
+    Raises FloatingPointError on any non-finite gradient entry, before any
+    parameter or accumulator moves.
     """
-    if len(params) != len(state.m) or len(grads) != len(params):
+    n_params = state.blocks[-1].stop if state.blocks else 0
+    if len(params) != n_params or len(grads) != len(params):
         raise ValueError("parameter / gradient / state length mismatch")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
+    flat = []
+    for blk in state.blocks:
+        if blk.g is None:
+            g = np.ravel(grads[blk.first])
+        else:
+            g = np.concatenate([np.ravel(grads[i]) for i in range(blk.first, blk.stop)],
+                               out=blk.g)
+        if g.shape != blk.m.shape:
+            raise ValueError("gradient shapes do not match the parameters")
+        if not np.isfinite(g).all():
             raise FloatingPointError("non-finite gradient entry in Adam update")
+        flat.append(g)
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.alpha * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    b1, b2 = state.beta1, state.beta2
+    c1, c2 = 1.0 - b1, 1.0 - b2
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for blk, g in zip(state.blocks, flat):
+        m, v, t1, t2 = blk.m, blk.v, blk.t1, blk.t2
+        m *= b1
+        np.multiply(g, c1, out=t1)
+        m += t1
+        v *= b2
+        np.multiply(g, c2, out=t1)
+        t1 *= g
+        v += t1
+        np.divide(m, bc1, out=t1)
+        t1 *= state.alpha
+        np.divide(v, bc2, out=t2)
+        np.sqrt(t2, out=t2)
+        t2 += state.eps
+        t1 /= t2
+        off = blk.offsets
+        for k, i in enumerate(range(blk.first, blk.stop)):
+            p = params[i]
+            p -= t1[off[k]:off[k + 1]].reshape(p.shape)
     return params, state

@@ -1,10 +1,11 @@
 """Entropic optimal transport between representation clouds.
 
 Cost matrices are squared Euclidean distances between rows. The Sinkhorn
-solver comes in a plain scaling form (kernel K = exp(-reg * C)) and a
-log-domain form that survives large reg * C products. The balancing gradient
-treats the coupling as a constant (envelope rule) and differentiates the cost
-matrix only.
+solver works in the log domain (dual potentials f, g and a max-shifted
+log-sum-exp), so it survives any finite reg * C product without underflow;
+see Schmitzer 2019, "Stabilized sparse scaling algorithms for entropy
+regularized transport problems". The balancing gradient treats the coupling
+as a constant (envelope rule) and differentiates the cost matrix only.
 """
 
 from __future__ import annotations
@@ -15,10 +16,6 @@ import numpy as np
 from scipy.stats import wasserstein_distance
 
 
-class SinkhornError(RuntimeError):
-    """Raised when the scaling iterations underflow to zero."""
-
-
 @dataclass
 class TransportPlan:
     """Coupling gamma with its target marginals and convergence diagnostics."""
@@ -27,7 +24,7 @@ class TransportPlan:
     p: np.ndarray            # target row marginal
     q: np.ndarray            # target column marginal
     iterations: int
-    residual: float          # max inf-norm marginal violation at exit
+    residual: float          # inf-norm column-marginal violation at exit
     converged: bool
 
     def entropy(self) -> float:
@@ -51,24 +48,25 @@ def cost_matrix(Z_c, Z_t) -> np.ndarray:
     return C
 
 
-def _marginal_residual(gamma, p, q) -> float:
-    return float(max(np.max(np.abs(gamma.sum(axis=1) - p)),
-                     np.max(np.abs(gamma.sum(axis=0) - q))))
-
-
 def sinkhorn(C, reg, p=None, q=None, max_iter=1000, tol=1e-6,
-             log_domain=False) -> TransportPlan:
-    """Entropy-regularized transport plan via Sinkhorn scaling iterations.
+             log_domain=True) -> TransportPlan:
+    """Entropy-regularized transport plan via log-domain Sinkhorn iterations.
 
-    reg is the inverse-temperature multiplying the cost in the kernel
-    K = exp(-reg * C). Marginals default to uniform. Iterates the scaling
-    updates v = q / (K^T u), u = p / (K v) until both marginal residuals drop
-    below tol (inf-norm) or max_iter is hit; the plan is returned either way
-    with its residual recorded.
+    reg is the inverse temperature multiplying the cost in the kernel
+    exp(-reg * C). Marginals default to uniform. Each iteration updates the
+    dual potentials g = log q - LSE_i(-reg C + f) and then
+    f = log p - LSE_j(-reg C + g), every log-sum-exp shifted by its maximum.
+    After the f-update the row marginal is exact up to rounding, so only the
+    column marginal is tested: iterations stop once its inf-norm violation
+    drops below tol or max_iter is hit, and the plan is returned either way
+    with that residual recorded. gamma is the f-update's exponentials
+    rescaled by p / (their row sums), with no further exp.
 
-    Raises SinkhornError on scaling underflow; pass log_domain=True (or lower
-    reg) to avoid it.
+    log_domain is kept for callers that name the solver; it must be True.
     """
+    if not log_domain:
+        raise ValueError("only the log-domain Sinkhorn solver exists; "
+                         "log_domain must be True")
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.size == 0:
         raise ValueError("cost matrix must be a nonempty 2-D array")
@@ -78,6 +76,8 @@ def sinkhorn(C, reg, p=None, q=None, max_iter=1000, tol=1e-6,
         raise ValueError("reg must be positive")
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
     n_c, n_t = C.shape
     p = np.full(n_c, 1.0 / n_c) if p is None else np.asarray(p, dtype=float)
     q = np.full(n_t, 1.0 / n_t) if q is None else np.asarray(q, dtype=float)
@@ -88,52 +88,39 @@ def sinkhorn(C, reg, p=None, q=None, max_iter=1000, tol=1e-6,
     if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
         raise ValueError("marginals must each sum to 1")
 
-    if log_domain:
-        return _sinkhorn_log(C, reg, p, q, max_iter, tol)
-
-    K = np.exp(-reg * C)
-    u = np.ones(n_c)
-    gamma = None
-    residual = np.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        Ktu = K.T @ u
-        if np.any(Ktu == 0.0):
-            raise SinkhornError(
-                "K^T u underflowed to zero; lower reg or use log_domain=True")
-        v = q / Ktu
-        Kv = K @ v
-        if np.any(Kv == 0.0):
-            raise SinkhornError(
-                "K v underflowed to zero; lower reg or use log_domain=True")
-        u = p / Kv
-        gamma = u[:, None] * K * v[None, :]
-        residual = _marginal_residual(gamma, p, q)
-        if residual < tol:
-            break
-    return TransportPlan(gamma=gamma, p=p, q=q, iterations=it,
-                         residual=residual, converged=residual < tol)
-
-
-def _sinkhorn_log(C, reg, p, q, max_iter, tol) -> TransportPlan:
-    from scipy.special import logsumexp
-
-    logK = -reg * C
-    log_p = np.log(p)
+    logK = C * -reg
+    p_col = p[:, None]
+    log_p = np.log(p_col)
     log_q = np.log(q)
-    f = np.zeros(C.shape[0])
-    g = np.zeros(C.shape[1])
-    gamma = None
-    residual = np.inf
-    it = 0
+    f = np.zeros((n_c, 1))
+    A = np.empty_like(logK)        # shifted exponents, then their exponentials
     for it in range(1, max_iter + 1):
-        g = log_q - logsumexp(logK + f[:, None], axis=0)
-        f = log_p - logsumexp(logK + g[None, :], axis=1)
-        gamma = np.exp(f[:, None] + logK + g[None, :])
-        residual = _marginal_residual(gamma, p, q)
+        # g_j = log q_j - LSE_i(logK_ij + f_i)
+        np.add(logK, f, out=A)
+        shift = A.max(axis=0)
+        A -= shift
+        np.exp(A, out=A)
+        lse = np.log(A.sum(axis=0))
+        lse += shift
+        g = log_q - lse
+        # f_i = log p_i - LSE_j(logK_ij + g_j)
+        np.add(logK, g, out=A)
+        shift = A.max(axis=1, keepdims=True)
+        A -= shift
+        np.exp(A, out=A)
+        row = A.sum(axis=1, keepdims=True)
+        lse = np.log(row)
+        lse += shift
+        f = log_p - lse
+        # gamma = exp(f + logK + g) = A * p / row; its column sums:
+        scale = p_col / row
+        col = scale.T @ A
+        col -= q
+        residual = float(np.max(np.abs(col)))
         if residual < tol:
             break
-    return TransportPlan(gamma=gamma, p=p, q=q, iterations=it,
+    A *= scale
+    return TransportPlan(gamma=A, p=p, q=q, iterations=it,
                          residual=residual, converged=residual < tol)
 
 

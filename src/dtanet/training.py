@@ -136,18 +136,12 @@ def loss_orthogonal(M_t, Z_t, M_c, Z_c) -> float:
     return total
 
 
-def _forward_arm(model: DtanetModel, X, arm: str):
-    """Representations, head prediction, and tapes for one batch."""
-    Z, tape_phi = model.phi.forward(X)
-    psi = model.psi_t if arm == "treated" else model.psi_c
-    head = model.head_t if arm == "treated" else model.head_c
-    M, tape_psi = psi.forward(X)
-    pred, tape_head = head.forward(np.hstack([Z, M]))
-    return Z, M, pred[:, 0], tape_phi, tape_psi, tape_head
-
-
 def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
     """Assembled per-bundle gradients of the frozen-plan objective.
+
+    phi runs once forward and once backward on the stacked batch (treated
+    rows first, then control rows); each arm's mediator net and head run on
+    that arm's rows only.
 
     Returns (grads, parts): grads maps bundle name -> flat gradient list (or
     None when that arm is absent from the batch pair); parts carries the loss
@@ -163,50 +157,45 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
     parts = {"l_y": 0.0, "l_sim": 0.0, "l_balan": 0.0,
              "sinkhorn_residual": math.nan, "gamma": None}
 
-    arm_state = {}
-    for arm, X, y, n in (("treated", X_t, y_t, n_t), ("control", X_c, y_c, n_c)):
+    Z_all, tape_phi = model.phi.forward(np.concatenate([X_t, X_c]))
+    dZ_all = np.empty_like(Z_all)
+    for rows, X, y, psi, head, psi_name, head_name, weight in (
+            (slice(0, n_t), X_t, y_t, model.psi_t, model.head_t, "psi_t", "head_t",
+             cfg.lambda0),
+            (slice(n_t, n_t + n_c), X_c, y_c, model.psi_c, model.head_c, "psi_c",
+             "head_c", 1.0 - cfg.lambda0)):
+        n = X.shape[0]
         if n == 0:
             continue
         y = np.asarray(y, dtype=float).ravel()
-        Z, M, pred, tape_phi, tape_psi, tape_head = _forward_arm(model, X, arm)
-        weight = cfg.lambda0 if arm == "treated" else 1.0 - cfg.lambda0
+        Z = Z_all[rows]
+        M, tape_psi = psi.forward(X)
+        pred, tape_head = head.forward(np.hstack([Z, M]))
+        pred = pred[:, 0]
         parts["l_y"] += weight * float(np.mean((pred - y) ** 2))
         # d L_y / d pred, including the per-arm size compensation
         d_pred = (2.0 * weight / n) * (pred - y)
         # orthogonality term and its representation gradients
         A = M.T @ Z
         parts["l_sim"] += float(np.sum(A ** 2))
-        dZ_sim = 2.0 * (M @ A)
-        dM_sim = 2.0 * (Z @ A.T)
-        arm_state[arm] = dict(Z=Z, M=M, tape_phi=tape_phi, tape_psi=tape_psi,
-                              tape_head=tape_head, d_pred=d_pred,
-                              dZ_sim=dZ_sim, dM_sim=dM_sim)
+        # the head and mediator net need nothing from the transport plan
+        grads[head_name], d_H = head.backward(tape_head, d_pred[:, None])
+        dZ_all[rows] = d_H[:, :r_z] + cfg.lambda1 * (2.0 * (M @ A))
+        dM = d_H[:, r_z:] + cfg.lambda1 * (2.0 * (Z @ A.T))
+        grads[psi_name], _ = psi.backward(tape_psi, dM)
 
-    dZ_bal = {"treated": 0.0, "control": 0.0}
     if n_t and n_c:
-        Z_t, Z_c = arm_state["treated"]["Z"], arm_state["control"]["Z"]
+        Z_t, Z_c = Z_all[:n_t], Z_all[n_t:]
         C = ot.cost_matrix(Z_c, Z_t)
         plan = ot.sinkhorn(C, cfg.lambda3, max_iter=cfg.sinkhorn_max_iter,
-                           tol=cfg.sinkhorn_tol, log_domain=True)
+                           tol=cfg.sinkhorn_tol)
         parts["l_balan"] = ot.transport_cost(C, plan)
         parts["sinkhorn_residual"] = plan.residual
         parts["gamma"] = plan.gamma
         d_c, d_t = ot.balancing_gradient(plan, Z_c, Z_t)
-        dZ_bal = {"treated": d_t, "control": d_c}
-
-    phi_grads = None
-    for arm, st in arm_state.items():
-        head = model.head_t if arm == "treated" else model.head_c
-        psi = model.psi_t if arm == "treated" else model.psi_c
-        g_head, d_H = head.backward(st["tape_head"], st["d_pred"][:, None])
-        dZ = d_H[:, :r_z] + cfg.lambda1 * st["dZ_sim"] + cfg.lambda2 * dZ_bal[arm]
-        dM = d_H[:, r_z:] + cfg.lambda1 * st["dM_sim"]
-        g_phi, _ = model.phi.backward(st["tape_phi"], dZ)
-        g_psi, _ = psi.backward(st["tape_psi"], dM)
-        grads["head_t" if arm == "treated" else "head_c"] = g_head
-        grads["psi_t" if arm == "treated" else "psi_c"] = g_psi
-        phi_grads = g_phi if phi_grads is None else [a + b for a, b in zip(phi_grads, g_phi)]
-    grads["phi"] = phi_grads
+        dZ_all[:n_t] += cfg.lambda2 * d_t
+        dZ_all[n_t:] += cfg.lambda2 * d_c
+    grads["phi"], _ = model.phi.backward(tape_phi, dZ_all)
 
     parts["total"] = (parts["l_y"] + cfg.lambda1 * parts["l_sim"]
                       + cfg.lambda2 * parts["l_balan"])

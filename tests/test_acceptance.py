@@ -2,8 +2,8 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 The full-scale benchmark comparison (criterion 4) trains five default-size
-models and takes about 8.5-10 minutes on two cores; the rest of the test
-suite takes about a minute and a half.
+models and takes about 7.5-9 minutes on two cores; the rest of the test
+suite takes about a minute.
 """
 
 import csv

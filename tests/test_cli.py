@@ -186,6 +186,93 @@ class TestPipeline:
         assert (out / "dataset.csv").read_bytes() != open(data, "rb").read()
 
 
+
+def nan_cell_copy(data, tmp_path):
+    """The dataset with one covariate of the first data row set to nan."""
+    rows = read_rows(data)
+    rows[1][1] = "nan"
+    bad = tmp_path / "nan.csv"
+    with open(bad, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return bad
+
+
+def only_error_line(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1, err
+    return lines[0]
+
+
+class TestBadInput:
+    def test_train_rejects_non_finite_cell(self, workspace, tmp_path, capsys):
+        _, cfg, data, _ = workspace
+        bad = nan_cell_copy(data, tmp_path)
+        capsys.readouterr()
+        code = main(["train", "--config", cfg, "--data", str(bad),
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_DATA
+        assert "row 2, column 'x2': non-finite" in only_error_line(capsys)
+        assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
+    def test_evaluate_rejects_non_finite_cell(self, workspace, tmp_path, capsys):
+        _, cfg, data, run = workspace
+        bad = nan_cell_copy(data, tmp_path)
+        capsys.readouterr()
+        code = main(["evaluate", "--config", cfg, "--data", str(bad),
+                     "--checkpoint", str(run / "checkpoint.npz"),
+                     "--out", str(tmp_path / "eval")])
+        assert code == EXIT_DATA
+        assert "row 2, column 'x2': non-finite" in only_error_line(capsys)
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def _evaluate(self, workspace, ckpt, tmp_path, capsys):
+        _, cfg, data, _ = workspace
+        capsys.readouterr()
+        code = main(["evaluate", "--config", cfg, "--data", data,
+                     "--checkpoint", str(ckpt), "--out", str(tmp_path / "eval")])
+        assert code == EXIT_DATA
+        return only_error_line(capsys)
+
+    def _rewritten(self, workspace, tmp_path, change):
+        *_, run = workspace
+        with np.load(run / "checkpoint.npz") as archive:
+            arrays = dict(archive)
+        change(arrays)
+        path = tmp_path / "changed.npz"
+        np.savez(path, **arrays)
+        return path
+
+    def test_checkpoint_not_a_zip(self, workspace, tmp_path, capsys):
+        ckpt = tmp_path / "text.npz"
+        ckpt.write_text("this is not a checkpoint\n")
+        assert "not a usable dtanet checkpoint" in self._evaluate(
+            workspace, ckpt, tmp_path, capsys)
+
+    def test_checkpoint_with_pickled_data(self, workspace, tmp_path, capsys):
+        def pickle_config(arrays):
+            arrays["config_json"] = np.array([{"seed": 0}], dtype=object)
+        ckpt = self._rewritten(workspace, tmp_path, pickle_config)
+        assert "Object arrays cannot be loaded" in self._evaluate(
+            workspace, ckpt, tmp_path, capsys)
+
+    def test_checkpoint_wrong_version(self, workspace, tmp_path, capsys):
+        def bump(arrays):
+            arrays["checkpoint_version"] = np.array(99)
+        ckpt = self._rewritten(workspace, tmp_path, bump)
+        assert "unsupported checkpoint version 99" in self._evaluate(
+            workspace, ckpt, tmp_path, capsys)
+
+    def test_checkpoint_missing_network(self, workspace, tmp_path, capsys):
+        def drop_head(arrays):
+            for key in [k for k in arrays if k.startswith("head_c.")]:
+                del arrays[key]
+        ckpt = self._rewritten(workspace, tmp_path, drop_head)
+        assert "the head_c network is missing" in self._evaluate(
+            workspace, ckpt, tmp_path, capsys)
+
+
 class TestExplain:
     def test_exclusion_groups_and_distances(self, tmp_path):
         cfg = write_config(tmp_path, {"n": 60, "epochs": 1})

@@ -96,6 +96,13 @@ class TestCsv:
         with pytest.raises(DataError, match="row 2.*'y'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_cell_names_row_and_column(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,x2,t,y\n0.5,1.0,1,2.0\n0.5,1.0,0,3.0\n0.5,{cell},1,4.0\n")
+        with pytest.raises(DataError, match="row 4, column 'x2': non-finite"):
+            load_csv(path)
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,t,y\n0.5,1\n")

@@ -127,6 +127,36 @@ class TestEstimateEffects:
         after = predict_outcomes(m, X, "treated", "treated")
         np.testing.assert_array_equal(before, after)
 
+    def test_predictions_equal_predict_outcomes_bit_for_bit(self):
+        m = small_model(19)
+        X = np.random.default_rng(10).standard_normal((9, 4))
+        t = np.array([1, 0, 0, 1, 1, 0, 1, 0, 1])
+        est = estimate_effects(m, X, t)
+        y = {(h, a): predict_outcomes(m, X, h, a)
+             for h in ("treated", "control") for a in ("treated", "control")}
+        np.testing.assert_array_equal(est.pred_t, y["treated", "treated"])
+        np.testing.assert_array_equal(est.pred_c, y["control", "control"])
+        np.testing.assert_array_equal(est.ite, y["treated", "treated"] - y["control", "control"])
+        treated = t == 1
+        np.testing.assert_array_equal(est.mte_at_t, np.where(
+            treated, y["treated", "treated"] - y["treated", "control"],
+            y["control", "treated"] - y["control", "control"]))
+
+    def test_seven_forward_passes(self, monkeypatch):
+        calls = []
+        original = nn.DenseNet.forward
+        monkeypatch.setattr(nn.DenseNet, "forward",
+                            lambda self, x: calls.append(self) or original(self, x))
+        m = small_model(21)
+        estimate_effects(m, np.ones((3, 4)), np.array([1, 0, 1]))
+        assert len(calls) == 7
+        assert [calls.count(net) for net in m.bundles().values()] == [1, 1, 1, 2, 2]
+
+    def test_rebuilt_from_own_fields(self):
+        est = estimate_effects(small_model(), np.ones((2, 4)), np.array([1, 0]))
+        again = type(est)(**est.__dict__)
+        np.testing.assert_array_equal(again.pred_t, est.pred_t)
+
 
 class TestModelInvariants:
     def test_psi_dims_must_match(self):

@@ -170,8 +170,66 @@ class TestAdam:
         with pytest.raises(FloatingPointError):
             nn.adam_step(state, params, [np.array([np.nan])])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_moves_nothing(self, bad):
+        # the last parameter of the last block carries the bad entry, so
+        # every other block would already have been updated by a one-pass loop
+        net = nn.init_dense([100, 200, 200, 1], np.random.default_rng(0))
+        params = net.params()
+        state = nn.adam_init(params)
+        grads = [np.ones_like(p) for p in params]
+        nn.adam_step(state, params, grads)
+        before = [p.copy() for p in params]
+        m, v = state.m.copy(), state.v.copy()
+        grads[-1][0] = bad
+        with pytest.raises(FloatingPointError):
+            nn.adam_step(state, params, grads)
+        for a, b in zip(before, params):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(state.m, m)
+        np.testing.assert_array_equal(state.v, v)
+        assert state.step == 1
+
     def test_accumulators_start_at_zero(self):
-        state = nn.adam_init([np.ones((2, 2))])
+        params = [np.ones((2, 2)), np.ones(3), np.ones((300, 200))]
+        state = nn.adam_init(params)
         assert state.step == 0
-        assert not np.any(state.m[0])
-        assert not np.any(state.v[0])
+        assert state.m.shape == state.v.shape == (sum(p.size for p in params),)
+        assert not np.any(state.m)
+        assert not np.any(state.v)
+
+    @pytest.mark.parametrize("width", [32, 200])
+    def test_bit_identical_to_per_array_reference(self, width):
+        """Blocked flat updates equal the per-array formula bit for bit."""
+        rng = np.random.default_rng(width)
+        net = nn.init_dense([100, width, width, 1], rng)
+        params = net.params()
+        ref = [p.copy() for p in params]
+        alpha, beta1, beta2, eps = 1e-3, 0.8, 0.95, 1e-8
+        state = nn.adam_init(params, alpha, beta1, beta2, eps)
+        m = [np.zeros_like(p) for p in ref]
+        v = [np.zeros_like(p) for p in ref]
+        for t in range(1, 51):
+            grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
+                     for p in params]
+            nn.adam_step(state, params, grads)
+            bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+            for p, g, mk, vk in zip(ref, grads, m, v):
+                mk *= beta1
+                mk += (1.0 - beta1) * g
+                vk *= beta2
+                vk += (1.0 - beta2) * g * g
+                p -= alpha * (mk / bc1) / (np.sqrt(vk / bc2) + eps)
+        for got, want in zip(params, ref):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(state.m, np.concatenate([x.ravel() for x in m]))
+        np.testing.assert_array_equal(state.v, np.concatenate([x.ravel() for x in v]))
+
+    def test_small_parameters_share_a_block(self):
+        # blocks hold up to 256 KiB: the 200x100 weight (160 KB) and its bias
+        # fit one; the 200x200 weight (320 KB) is a block alone; the next
+        # bias, the 1x200 weight and the last bias pack into one
+        net = nn.init_dense([100, 200, 200, 1], np.random.default_rng(1))
+        state = nn.adam_init(net.params())
+        spans = [(blk.first, blk.stop) for blk in state.blocks]
+        assert spans == [(0, 2), (2, 3), (3, 6)]

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.optimize import linprog
+from scipy.special import logsumexp
 
 from dtanet import ot
 
@@ -64,15 +65,14 @@ class TestSinkhorn:
         assert cost == pytest.approx(0.0, abs=1e-2)
         np.testing.assert_allclose(plan.gamma, np.diag([0.5, 0.5]), atol=1e-2)
 
-    @pytest.mark.parametrize("log_domain", [False, True])
-    def test_marginal_feasibility(self, log_domain):
+    def test_marginal_feasibility(self):
         rng = np.random.default_rng(5)
         C = rng.uniform(0, 3, size=(4, 3))
         p = rng.uniform(0.5, 1, 4)
         p /= p.sum()
         q = rng.uniform(0.5, 1, 3)
         q /= q.sum()
-        plan = ot.sinkhorn(C, reg=5.0, p=p, q=q, tol=1e-8, log_domain=log_domain)
+        plan = ot.sinkhorn(C, reg=5.0, p=p, q=q, tol=1e-8)
         assert plan.converged
         assert plan.residual < 1e-8
         np.testing.assert_allclose(plan.gamma.sum(axis=1), p, atol=1e-7)
@@ -102,19 +102,17 @@ class TestSinkhorn:
         rng = np.random.default_rng(4)
         Z = rng.standard_normal((3, 2))
         C = ot.cost_matrix(Z, Z)
-        plan = ot.sinkhorn(C, reg=100.0, tol=1e-10, max_iter=5000, log_domain=True)
+        plan = ot.sinkhorn(C, reg=100.0, tol=1e-10, max_iter=5000)
         floor = ot.transport_cost(np.zeros_like(C), ot.sinkhorn(np.zeros_like(C), reg=100.0))
         assert ot.transport_cost(C, plan) <= floor + plan.entropy() / 100.0 + 1e-9
 
-    def test_underflow_raises_with_advice(self):
-        C = np.full((2, 2), 1e4)
-        C[0, 0] = 0.0
-        with pytest.raises(ot.SinkhornError, match="log_domain"):
-            ot.sinkhorn(C, reg=1.0)
+    def test_plain_scaling_solver_is_gone(self):
+        with pytest.raises(ValueError, match="log_domain"):
+            ot.sinkhorn(np.ones((2, 2)), reg=1.0, log_domain=False)
 
     def test_log_domain_survives_large_products(self):
         C = np.array([[0.0, 1e4], [1e4, 0.0]])
-        plan = ot.sinkhorn(C, reg=1.0, log_domain=True, tol=1e-9)
+        plan = ot.sinkhorn(C, reg=1.0, tol=1e-9)
         assert plan.converged
         np.testing.assert_allclose(plan.gamma, np.diag([0.5, 0.5]), atol=1e-9)
 
@@ -129,6 +127,60 @@ class TestSinkhorn:
         assert not plan.converged
         assert plan.iterations == 1
         assert np.isfinite(plan.residual)
+
+
+def reference_sinkhorn(C, reg, p, q, max_iter, tol):
+    """The log-domain iterations written with scipy's logsumexp, gamma formed by exp."""
+    logK = -reg * C
+    log_p, log_q = np.log(p), np.log(q)
+    f = np.zeros(C.shape[0])
+    for it in range(1, max_iter + 1):
+        g = log_q - logsumexp(logK + f[:, None], axis=0)
+        f = log_p - logsumexp(logK + g[None, :], axis=1)
+        gamma = np.exp(f[:, None] + logK + g[None, :])
+        residual = max(np.max(np.abs(gamma.sum(axis=1) - p)),
+                       np.max(np.abs(gamma.sum(axis=0) - q)))
+        if residual < tol:
+            break
+    return gamma, it
+
+
+def random_marginal(rng, n):
+    m = rng.uniform(0.05, 1.0, n)
+    return m / m.sum()
+
+
+class TestSinkhornReference:
+    """The inline log-sum-exp iterations against the scipy reference above."""
+
+    @pytest.mark.parametrize("reg, scale, max_iter", [
+        (5.0, 3.0, 1000),       # ordinary instance
+        (1.0, 1e4, 1000),       # reg * C about 1e4: the kernel underflows
+        (5.0, 3.0, 1),          # one iteration, unconverged
+    ])
+    def test_matches_logsumexp_reference(self, reg, scale, max_iter):
+        rng = np.random.default_rng(13)
+        for n_c, n_t in ((1, 1), (1, 5), (4, 3), (7, 7), (64, 40)):
+            C = rng.uniform(0.0, scale, size=(n_c, n_t))
+            p, q = random_marginal(rng, n_c), random_marginal(rng, n_t)
+            want, iters = reference_sinkhorn(C, reg, p, q, max_iter, 1e-9)
+            plan = ot.sinkhorn(C, reg, p=p, q=q, max_iter=max_iter, tol=1e-9)
+            assert plan.iterations == iters
+            np.testing.assert_allclose(plan.gamma, want, rtol=0, atol=1e-12)
+            col = np.max(np.abs(plan.gamma.sum(axis=0) - q))
+            assert plan.residual == pytest.approx(col, abs=1e-15)
+
+    def test_row_marginal_exact_after_every_iteration(self):
+        rng = np.random.default_rng(14)
+        C = rng.uniform(0, 3, size=(6, 9))
+        p, q = random_marginal(rng, 6), random_marginal(rng, 9)
+        for max_iter in (1, 2, 5):
+            plan = ot.sinkhorn(C, 5.0, p=p, q=q, max_iter=max_iter, tol=1e-14)
+            np.testing.assert_allclose(plan.gamma.sum(axis=1), p, rtol=1e-14, atol=0)
+
+    def test_bad_max_iter_rejected(self):
+        with pytest.raises(ValueError):
+            ot.sinkhorn(np.ones((2, 2)), reg=1.0, max_iter=0)
 
 
 class TestTransportCost:

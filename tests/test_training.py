@@ -154,6 +154,74 @@ class TestGradientAssembly:
         assert grads["phi"] is not None and grads["psi_t"] is not None
 
 
+def two_pass_gradients(model, X_t, y_t, X_c, y_c, cfg):
+    """Reference assembly: phi forward and backward once per arm, grads summed."""
+    r_z = model.rep_dim
+    arms = {}
+    for arm, X, y, psi, head, w in (("t", X_t, y_t, model.psi_t, model.head_t, cfg.lambda0),
+                                    ("c", X_c, y_c, model.psi_c, model.head_c,
+                                     1.0 - cfg.lambda0)):
+        if len(X) == 0:
+            continue
+        Z, tape_phi = model.phi.forward(X)
+        M, tape_psi = psi.forward(X)
+        pred, tape_head = head.forward(np.hstack([Z, M]))
+        A = M.T @ Z
+        arms[arm] = dict(Z=Z, M=M, A=A, tape_phi=tape_phi, tape_psi=tape_psi,
+                         tape_head=tape_head, psi=psi, head=head,
+                         d_pred=(2.0 * w / len(X)) * (pred[:, 0] - y), d_bal=0.0)
+    if len(arms) == 2:
+        Z_t, Z_c = arms["t"]["Z"], arms["c"]["Z"]
+        plan = ot.sinkhorn(ot.cost_matrix(Z_c, Z_t), cfg.lambda3,
+                           max_iter=cfg.sinkhorn_max_iter, tol=cfg.sinkhorn_tol)
+        arms["c"]["d_bal"], arms["t"]["d_bal"] = ot.balancing_gradient(plan, Z_c, Z_t)
+    grads, phi = {}, None
+    for arm, s in arms.items():
+        g_head, d_H = s["head"].backward(s["tape_head"], s["d_pred"][:, None])
+        dZ = d_H[:, :r_z] + cfg.lambda1 * 2.0 * (s["M"] @ s["A"]) + cfg.lambda2 * s["d_bal"]
+        dM = d_H[:, r_z:] + cfg.lambda1 * 2.0 * (s["Z"] @ s["A"].T)
+        g_phi, _ = model.phi.backward(s["tape_phi"], dZ)
+        grads["head_" + arm] = g_head
+        grads["psi_" + arm], _ = s["psi"].backward(s["tape_psi"], dM)
+        phi = g_phi if phi is None else [a + b for a, b in zip(phi, g_phi)]
+    grads["phi"] = phi
+    return grads
+
+
+class TestStackedPhiPass:
+    """compute_gradients runs phi once on both arms; the per-arm assembly agrees."""
+
+    @pytest.mark.parametrize("n_t, n_c", [(16, 9), (7, 0), (0, 5)])
+    def test_matches_two_pass_reference(self, n_t, n_c):
+        rng = np.random.default_rng(n_t * 10 + n_c)
+        model = init_model(6, 8, 5, (12, 12), (10,), (9, 9), rng)
+        cfg = tiny_cfg(lambda1=0.3, lambda2=0.7, lambda3=0.5)
+        X_t, X_c = rng.standard_normal((n_t, 6)), rng.standard_normal((n_c, 6))
+        y_t, y_c = rng.standard_normal(n_t), rng.standard_normal(n_c)
+        got, _ = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
+        want = two_pass_gradients(model, X_t, y_t, X_c, y_c, cfg)
+        for name, value in got.items():
+            if name not in want:
+                assert value is None, name
+                continue
+            for a, b in zip(value, want[name]):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+    def test_five_forward_and_backward_calls(self, monkeypatch):
+        calls = {"forward": 0, "backward": 0}
+        for kind in calls:
+            original = getattr(nn.DenseNet, kind)
+
+            def counted(self, *a, _kind=kind, _original=original):
+                calls[_kind] += 1
+                return _original(self, *a)
+            monkeypatch.setattr(nn.DenseNet, kind, counted)
+        rng = np.random.default_rng(0)
+        compute_gradients(tiny_model(), rng.standard_normal((4, 3)), np.zeros(4),
+                          rng.standard_normal((3, 3)), np.zeros(3), tiny_cfg())
+        assert calls == {"forward": 5, "backward": 5}
+
+
 class TestTrain:
     def make_data(self, n=80, seed=0):
         ds, _ = generate(SynthConfig(n=n, d=5, seed=seed))
