@@ -12,12 +12,12 @@ import csv
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from . import baselines, metrics, ot
+from . import metrics, ot
 from .data import DataError, ObservationalDataset, load_csv, split, write_csv
 from .model import estimate_effects, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate
@@ -94,16 +94,10 @@ def evaluate_model(model, dataset: ObservationalDataset, idx) -> metrics.Metrics
     terms and stay unset here.
     """
     idx = np.asarray(idx)
-    X, t = dataset.X[idx], dataset.t[idx]
-    est = estimate_effects(model, X, t)
-    report = metrics.MetricsReport(policy_risk=metrics.policy_risk(est.pred_t, est.pred_c))
-    if dataset.has_ground_truth:
-        true_ite = dataset.true_ite()[idx]
-        report.sqrt_pehe = math.sqrt(metrics.pehe(est.ite, true_ite))
-        report.eps_ate = abs(est.ate - float(np.mean(true_ite)))
-        if np.any(t == 1):
-            report.eps_att = abs(est.att - float(np.mean(true_ite[t == 1])))
-    return report
+    t = dataset.t[idx]
+    est = estimate_effects(model, dataset.X[idx], t)
+    true_ite = dataset.true_ite()[idx] if dataset.has_ground_truth else None
+    return metrics.effect_report(est, t, true_ite=true_ite)
 
 
 def _train_on(dataset, train_cfg):
@@ -163,8 +157,8 @@ def _parse_grid(spec: str):
         l2 = tuple(float(v) for v in right.split(","))
     except ValueError as exc:
         raise UsageError(f"--grid must look like '0.1,0.2x0.3,0.45': {exc}") from exc
-    if not l1 or not l2:
-        raise UsageError("--grid needs at least one value per axis")
+    if not all(math.isfinite(v) and v >= 0 for v in l1 + l2):
+        raise UsageError(f"--grid values must be finite and >= 0: {spec}")
     return l1, l2
 
 
@@ -177,15 +171,14 @@ def cmd_gridsearch(args) -> int:
     best = None  # (val_l_y, lambda1, lambda2); first minimum wins ties
     for lam1 in l1_values:
         for lam2 in l2_values:
-            cell = TrainConfig(**{**train_cfg.to_dict(),
-                                  "lambda1": lam1, "lambda2": lam2})
+            cell = replace(train_cfg, lambda1=lam1, lambda2=lam2)
             try:
                 _, trace, _ = _train_on(dataset, cell)
                 val = min(rec.val_l_y for rec in trace)
                 rows.append([repr(lam1), repr(lam2), repr(val), "ok"])
                 if best is None or val < best[0]:
                     best = (val, lam1, lam2)
-            except (FloatingPointError, ValueError) as exc:
+            except FloatingPointError as exc:
                 rows.append([repr(lam1), repr(lam2), "", f"error: {exc}"])
     _write_rows(out / "grid.csv", ["lambda1", "lambda2", "val_l_y", "status"], rows)
     if best is None:
@@ -195,11 +188,27 @@ def cmd_gridsearch(args) -> int:
     return EXIT_OK
 
 
-def _trial_effects(dataset, train_cfg, trial_seed):
-    cfg = TrainConfig(**{**train_cfg.to_dict(), "seed": trial_seed})
-    model, _, _ = _train_on(dataset, cfg)
-    est = estimate_effects(model, dataset.X, dataset.t)
-    return est.ame, est.ade
+def _effect_samples(label, datasets, train_cfg, rows):
+    """Train and estimate once per dataset; trial k is seeded train_cfg.seed + k.
+
+    Appends one samples row per trial, an `error:` row for a trial whose
+    training diverged, and returns the AME and ADE lists of the trials that
+    finished. datasets may be a generator, so only one trial's data is alive
+    at a time.
+    """
+    ame_list, ade_list = [], []
+    for trial, dataset in enumerate(datasets):
+        cfg = replace(train_cfg, seed=train_cfg.seed + trial)
+        try:
+            model, _, _ = _train_on(dataset, cfg)
+        except FloatingPointError as exc:
+            rows.append([label, trial, "", "", f"error: {exc}"])
+            continue
+        est = estimate_effects(model, dataset.X, dataset.t)
+        ame_list.append(est.ame)
+        ade_list.append(est.ade)
+        rows.append([label, trial, repr(est.ame), repr(est.ade), "ok"])
+    return ame_list, ade_list
 
 
 def cmd_explain(args) -> int:
@@ -219,31 +228,21 @@ def cmd_explain(args) -> int:
         if source is not None:
             ds = source
         else:
-            ds, _ = generate(SynthConfig(**{**synth_cfg.to_dict(),
-                                            "seed": synth_cfg.seed + trial}))
+            ds, _ = generate(replace(synth_cfg, seed=synth_cfg.seed + trial))
         return ds.drop_covariates(drop) if drop else ds
 
     sample_rows, samples = [], {}
     for label, drop in [("baseline", ())] + [("+".join(g), g) for g in groups]:
-        ame_list, ade_list = [], []
-        for trial in range(args.trials):
-            try:
-                ame, ade = _trial_effects(dataset_for(trial, drop), train_cfg,
-                                          train_cfg.seed + trial)
-            except FloatingPointError as exc:
-                sample_rows.append([label, trial, "", "", f"error: {exc}"])
-                continue
-            ame_list.append(ame)
-            ade_list.append(ade)
-            sample_rows.append([label, trial, repr(ame), repr(ade), "ok"])
-        samples[label] = (ame_list, ade_list)
+        samples[label] = _effect_samples(
+            label, (dataset_for(trial, drop) for trial in range(args.trials)),
+            train_cfg, sample_rows)
     _write_rows(out / "explain_samples.csv",
                 ["exclude", "trial", "ame", "ade", "status"], sample_rows)
 
     base_ame, base_ade = samples["baseline"]
     dist_rows = []
     for label, (ame_list, ade_list) in samples.items():
-        if label == "baseline" or not ame_list:
+        if label == "baseline" or not ame_list or not base_ame:
             continue
         w_med = ot.wasserstein_1d(base_ame, ame_list)
         w_dir = ot.wasserstein_1d(base_ade, ade_list)
@@ -260,35 +259,28 @@ def cmd_sensitivity(args) -> int:
     synth_cfg, train_cfg = _configs(args)
     out = _outdir(args)
     rhos = sorted(set(args.rho if args.rho else [0.0]))
-    if any(abs(r) > 1 for r in rhos):
+    if not all(-1 <= r <= 1 for r in rhos):
         raise UsageError("every --rho must lie in [-1, 1]")
+
+    def draws(rho, true_ames):
+        for trial in range(args.trials):
+            cfg = replace(synth_cfg, rho=rho, seed=synth_cfg.seed + trial)
+            dataset, truth = generate(cfg)
+            true_ames.append(truth.ame(dataset.t))
+            yield dataset
+
     sample_rows, summary_rows = [], []
     for rho in rhos:
-        ame_list, ade_list = [], []
-        true_ame = None
-        for trial in range(args.trials):
-            cfg = SynthConfig(**{**synth_cfg.to_dict(), "rho": rho,
-                                 "seed": synth_cfg.seed + trial})
-            dataset, truth = generate(cfg)
-            true_ame = truth.ame(dataset.t)
-            try:
-                ame, ade = _trial_effects(dataset, train_cfg, train_cfg.seed + trial)
-            except FloatingPointError as exc:
-                sample_rows.append([repr(rho), trial, "", "", f"error: {exc}"])
-                continue
-            ame_list.append(ame)
-            ade_list.append(ade)
-            sample_rows.append([repr(rho), trial, repr(ame), repr(ade), "ok"])
+        true_ames = []
+        ame_list, ade_list = _effect_samples(repr(rho), draws(rho, true_ames),
+                                             train_cfg, sample_rows)
+        true_ame = true_ames[-1] if true_ames else None
+        cells = [""] * 6
         if ame_list:
-            summary_rows.append([
-                repr(rho), repr(true_ame),
-                repr(float(np.mean(ame_list))), repr(float(np.std(ame_list))),
-                repr(float(np.min(ame_list))), repr(float(np.max(ame_list))),
-                repr(float(np.mean(ade_list))), repr(float(np.std(ade_list))),
-                len(ame_list)])
-        else:
-            summary_rows.append([repr(rho), repr(true_ame),
-                                 "", "", "", "", "", "", 0])
+            cells = [repr(float(f(v))) for f, v in (
+                (np.mean, ame_list), (np.std, ame_list), (np.min, ame_list),
+                (np.max, ame_list), (np.mean, ade_list), (np.std, ade_list))]
+        summary_rows.append([repr(rho), repr(true_ame), *cells, len(ame_list)])
     _write_rows(out / "sensitivity_samples.csv",
                 ["rho", "trial", "ame", "ade", "status"], sample_rows)
     _write_rows(out / "sensitivity.csv",

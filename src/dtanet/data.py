@@ -10,7 +10,6 @@ write/load cycle preserves every value bit-exactly.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -181,7 +180,7 @@ class SplitIndices:
 def split(n: int, seed: int) -> SplitIndices:
     """80/20 train/test split; 20% of the training portion is validation."""
     if n < 5:
-        raise ValueError("need n >= 5 to split")
+        raise DataError("need n >= 5 to split")
     perm = np.random.default_rng(seed).permutation(n)
     n_test = int(0.2 * n)
     n_val = int(0.2 * (n - n_test))

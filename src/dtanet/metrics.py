@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, astuple
 
 import numpy as np
 
@@ -25,9 +25,7 @@ class MetricsReport:
     FIELDS = ("sqrt_pehe", "eps_ate", "eps_att", "eps_mte", "eps_dte", "policy_risk")
 
     def csv_row(self) -> list:
-        return ["" if v is None else repr(v) for v in
-                (self.sqrt_pehe, self.eps_ate, self.eps_att,
-                 self.eps_mte, self.eps_dte, self.policy_risk)]
+        return ["" if v is None else repr(v) for v in astuple(self)]
 
 
 def pehe(est_ite, true_ite) -> float:
@@ -42,21 +40,31 @@ def pehe(est_ite, true_ite) -> float:
     return float(np.mean((true_ite - est_ite) ** 2))
 
 
-def abs_effect_errors(est, truth, t):
-    """Absolute errors on the population quantities ATE/ATT/AME/ADE.
+def effect_report(est, t, true_ite=None, truth=None) -> MetricsReport:
+    """Every metric an EffectEstimates bundle supports against the truth given.
 
-    est is an EffectEstimates bundle; truth a GroundTruth bundle; t the
-    factual treatment vector (defines ATT and the conditioning of MTE/DTE).
+    t is the factual treatment vector (it defines ATT and the conditioning of
+    MTE/DTE). true_ite, or a GroundTruth's own ite(), sets root PEHE and the
+    ATE/ATT errors (ATT stays None without treated rows); a GroundTruth also
+    sets the MTE/DTE errors. Policy risk needs the factual predictions
+    est.pred_t and est.pred_c.
     """
     t = np.asarray(t)
-    true_ite = truth.ite()
-    eps_ate = abs(est.ate - float(np.mean(true_ite)))
-    treated = t == 1
-    eps_att = (abs(est.att - float(np.mean(true_ite[treated])))
-               if np.any(treated) else None)
-    eps_mte = abs(est.ame - truth.ame(t))
-    eps_dte = abs(est.ade - truth.ade(t))
-    return eps_ate, eps_att, eps_mte, eps_dte
+    report = MetricsReport()
+    if est.pred_t is not None:
+        report.policy_risk = policy_risk(est.pred_t, est.pred_c)
+    if true_ite is None and truth is not None:
+        true_ite = truth.ite()
+    if true_ite is not None:
+        report.sqrt_pehe = math.sqrt(pehe(est.ite, true_ite))
+        report.eps_ate = abs(est.ate - float(np.mean(true_ite)))
+        treated = t == 1
+        if np.any(treated):
+            report.eps_att = abs(est.att - float(np.mean(true_ite[treated])))
+    if truth is not None:
+        report.eps_mte = abs(est.ame - truth.ame(t))
+        report.eps_dte = abs(est.ade - truth.ade(t))
+    return report
 
 
 def policy_risk(pred_t, pred_c) -> float:

@@ -100,9 +100,6 @@ def represent(model: DtanetModel, X):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.in_dim:
         raise ValueError(f"covariate width {X.shape} != {model.in_dim}")
-    if X.shape[0] == 0:
-        return (np.empty((0, model.rep_dim)), np.empty((0, model.med_dim)),
-                np.empty((0, model.med_dim)))
     Z, _ = model.phi.forward(X)
     M_t, _ = model.psi_t.forward(X)
     M_c, _ = model.psi_c.forward(X)
@@ -116,8 +113,6 @@ def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
     Z, M_t, M_c = represent(model, X)
     M = M_t if mediator_arm == TREATED else M_c
     net = model.head_t if head == TREATED else model.head_c
-    if Z.shape[0] == 0:
-        return np.empty(0)
     out, _ = net.forward(np.hstack([Z, M]))
     return out[:, 0]
 

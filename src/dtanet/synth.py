@@ -57,12 +57,8 @@ class SynthConfig:
             raise ValueError("need n >= 2")
         if self.d < 5:
             raise ValueError("need d >= 5 (first five covariates drive confounding)")
-        if abs(self.rho) > 1.0:
-            raise ValueError("|rho| must not exceed 1")
-
-    def to_dict(self) -> dict:
-        from dataclasses import asdict
-        return asdict(self)
+        if not -1.0 <= self.rho <= 1.0:
+            raise ValueError("rho must lie in [-1, 1]")
 
 
 @dataclass

@@ -18,13 +18,13 @@ from __future__ import annotations
 import csv
 import math
 import time
-from dataclasses import dataclass, field, asdict, fields
+from dataclasses import dataclass, asdict, astuple, fields
 
 import numpy as np
 
 from . import nn, ot
-from .data import ObservationalDataset, sample_arm_batch
-from .model import DtanetModel, init_model
+from .data import DataError, ObservationalDataset, sample_arm_batch
+from .model import DtanetModel, init_model, predict_outcomes
 
 _BUNDLES = ("phi", "psi_t", "psi_c", "head_t", "head_c")
 
@@ -73,14 +73,6 @@ class TrainConfig:
             out[key] = list(out[key])
         return out
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(d) - known
-        if unknown:
-            raise ValueError(f"unknown TrainConfig keys: {sorted(unknown)}")
-        return cls(**d)
-
 
 @dataclass
 class TraceRecord:
@@ -99,13 +91,9 @@ class TraceRecord:
 def write_trace_csv(path, trace):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["epoch", "l_y", "l_sim", "l_balan", "total",
-                         "sinkhorn_residual", "val_l_y", "seconds"])
+        writer.writerow([f.name for f in fields(TraceRecord)])
         for rec in trace:
-            writer.writerow([rec.epoch, repr(rec.l_y), repr(rec.l_sim),
-                             repr(rec.l_balan), repr(rec.total),
-                             repr(rec.sinkhorn_residual), repr(rec.val_l_y),
-                             repr(rec.seconds)])
+            writer.writerow([repr(v) for v in astuple(rec)])
 
 
 def loss_outcome(pred_t, y_t, pred_c, y_c, lambda0: float) -> float:
@@ -145,7 +133,9 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
 
     Returns (grads, parts): grads maps bundle name -> flat gradient list (or
     None when that arm is absent from the batch pair); parts carries the loss
-    values, the Sinkhorn residual, and the frozen coupling.
+    values, the Sinkhorn residual, and the frozen coupling. A transport cost
+    that is not finite (the representations overflowed) raises
+    FloatingPointError.
     """
     X_t = np.asarray(X_t, dtype=float).reshape(-1, model.in_dim)
     X_c = np.asarray(X_c, dtype=float).reshape(-1, model.in_dim)
@@ -187,6 +177,9 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
     if n_t and n_c:
         Z_t, Z_c = Z_all[:n_t], Z_all[n_t:]
         C = ot.cost_matrix(Z_c, Z_t)
+        if not np.all(np.isfinite(C)):
+            raise FloatingPointError("non-finite transport cost between the "
+                                     "batch representations")
         plan = ot.sinkhorn(C, cfg.lambda3, max_iter=cfg.sinkhorn_max_iter,
                            tol=cfg.sinkhorn_tol)
         parts["l_balan"] = ot.transport_cost(C, plan)
@@ -225,8 +218,6 @@ def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c,
 
 
 def _validation_outcome_loss(model: DtanetModel, dataset, idx, lambda0: float) -> float:
-    from .model import predict_outcomes
-
     X, t, y = dataset.X[idx], dataset.t[idx], dataset.y[idx]
     pred_t = predict_outcomes(model, X[t == 1], "treated", "treated")
     pred_c = predict_outcomes(model, X[t == 0], "control", "control")
@@ -254,7 +245,7 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
     n_t = int(np.sum(dataset.t[idx] == 1))
     n_c = idx.size - n_t
     if n_t == 0 or n_c == 0:
-        raise ValueError("training needs at least one treated and one control individual")
+        raise DataError("training needs at least one treated and one control individual")
     steps = max(1, math.ceil(max(n_t, n_c) / max(cfg.batch_size_t, cfg.batch_size_c)))
 
     states = {name: nn.adam_init(net.params(), cfg.alpha, cfg.beta1, cfg.beta2)

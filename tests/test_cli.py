@@ -74,6 +74,12 @@ class TestGridSpec:
             with pytest.raises(UsageError):
                 _parse_grid(bad)
 
+    def test_values_must_be_finite_and_nonnegative(self):
+        for bad in ("-0.1x0.3", "0.1x-0.3", "nanx0.3", "0.1xinf"):
+            with pytest.raises(UsageError, match="finite"):
+                _parse_grid(bad)
+        assert _parse_grid("0x0") == ((0.0,), (0.0,))
+
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
@@ -317,3 +323,189 @@ class TestSensitivity:
         code = main(["sensitivity", "--config", cfg, "--out", str(tmp_path / "s"),
                      "--rho", "1.5", "--trials", "2"])
         assert code == EXIT_USAGE
+
+
+def fail_calls(monkeypatch, failing):
+    """Make cli.train raise FloatingPointError on the given 0-based calls."""
+    from dtanet import cli
+    real, calls = cli.train, []
+
+    def flaky(*args, **kwargs):
+        calls.append(args[1].seed)
+        if len(calls) - 1 in failing:
+            raise FloatingPointError(f"diverged in call {len(calls) - 1}")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", flaky)
+    return calls
+
+
+class TestTrialLoop:
+    """Every driver trains trial k with seed + k and turns a diverged trial
+    into an `error:` row without touching the other trials."""
+
+    def _sensitivity(self, tmp_path, name):
+        cfg = write_config(tmp_path, {"n": 60, "epochs": 1})
+        out = tmp_path / name
+        code = main(["sensitivity", "--config", cfg, "--out", str(out),
+                     "--trials", "3", "--rho", "0.3", "--rho", "0"])
+        assert code == EXIT_OK
+        return read_rows(out / "sensitivity_samples.csv"), read_rows(out / "sensitivity.csv")
+
+    def test_sensitivity_failed_trials(self, tmp_path, monkeypatch):
+        clean_samples, _ = self._sensitivity(tmp_path, "clean")
+        calls = fail_calls(monkeypatch, {1, 3, 4, 5})
+        samples, summary = self._sensitivity(tmp_path, "flaky")
+        assert calls == [0, 1, 2, 0, 1, 2]
+        assert samples[0] == ["rho", "trial", "ame", "ade", "status"]
+        assert samples[2] == ["0.0", "1", "", "", "error: diverged in call 1"]
+        for k, row in enumerate(samples[4:]):
+            assert row == ["0.3", str(k), "", "", f"error: diverged in call {k + 3}"]
+        # a failure does not move the seeds of the trials after it
+        assert samples[1] == clean_samples[1] and samples[3] == clean_samples[3]
+
+        zero, all_failed = summary[1:]
+        assert zero[0] == "0.0" and zero[8] == "2"
+        ames = [float(samples[1][2]), float(samples[3][2])]
+        assert float(zero[2]) == pytest.approx(np.mean(ames))
+        assert all_failed[0] == "0.3" and all_failed[8] == "0"
+        assert float(all_failed[1]) == pytest.approx(0.5)  # true AME is still reported
+        assert all_failed[2:8] == [""] * 6
+
+    def test_explain_with_every_baseline_trial_failed(self, tmp_path, monkeypatch):
+        fail_calls(monkeypatch, {0, 1})
+        cfg = write_config(tmp_path, {"n": 60, "epochs": 1})
+        out = tmp_path / "explain"
+        code = main(["explain", "--config", cfg, "--out", str(out),
+                     "--trials", "2", "--exclude", "x1"])
+        assert code == EXIT_OK
+        samples = read_rows(out / "explain_samples.csv")
+        assert [r[4] for r in samples[1:]] == [
+            "error: diverged in call 0", "error: diverged in call 1", "ok", "ok"]
+        assert read_rows(out / "explain_distances.csv") == [
+            ["exclude", "w1_mediate", "w1_direct", "w1_mediate_x1000", "w1_direct_x1000"]]
+
+    def test_explain_skips_a_group_with_every_trial_failed(self, tmp_path, monkeypatch):
+        calls = fail_calls(monkeypatch, {2, 3})
+        cfg = write_config(tmp_path, {"n": 60, "epochs": 1})
+        out = tmp_path / "explain"
+        code = main(["explain", "--config", cfg, "--out", str(out),
+                     "--trials", "2", "--exclude", "x1", "--exclude", "x2"])
+        assert code == EXIT_OK
+        assert calls == [0, 1, 0, 1, 0, 1]
+        assert [r[0] for r in read_rows(out / "explain_distances.csv")[1:]] == ["x2"]
+
+    def test_gridsearch_failed_cell(self, workspace, tmp_path, monkeypatch):
+        _, cfg, data, _ = workspace
+        fail_calls(monkeypatch, {0})
+        out = tmp_path / "grid"
+        code = main(["gridsearch", "--config", cfg, "--data", data,
+                     "--out", str(out), "--grid", "0.1x0.3,0.45"])
+        assert code == EXIT_OK
+        rows = read_rows(out / "grid.csv")
+        assert rows[1] == ["0.1", "0.3", "", "error: diverged in call 0"]
+        assert rows[2][3] == "ok"
+
+    def test_gridsearch_every_cell_failed(self, workspace, tmp_path, monkeypatch):
+        _, cfg, data, _ = workspace
+        fail_calls(monkeypatch, {0, 1})
+        code = main(["gridsearch", "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "grid"), "--grid", "0.1x0.3,0.45"])
+        assert code == EXIT_NUMERICAL
+
+
+def rewritten_csv(data, tmp_path, change):
+    rows = change(read_rows(data))
+    path = tmp_path / "changed.csv"
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return str(path)
+
+
+def all_control(rows):
+    t = rows[0].index("t")
+    return [rows[0]] + [r[:t] + ["0"] + r[t + 1:] for r in rows[1:]]
+
+
+class TestDataConditions:
+    """Data that cannot be trained on exits 2 with one `data error:` line."""
+
+    def _data_error(self, argv, capsys):
+        capsys.readouterr()
+        assert main(argv) == EXIT_DATA
+        line = only_error_line(capsys)
+        assert line.startswith("data error: ")
+        return line
+
+    def test_train_without_treated_rows(self, workspace, tmp_path, capsys):
+        _, cfg, data, _ = workspace
+        path = rewritten_csv(data, tmp_path, all_control)
+        line = self._data_error(["train", "--config", cfg, "--data", path,
+                                 "--out", str(tmp_path / "run")], capsys)
+        assert "at least one treated and one control" in line
+
+    def test_gridsearch_without_treated_rows(self, workspace, tmp_path, capsys):
+        _, cfg, data, _ = workspace
+        path = rewritten_csv(data, tmp_path, all_control)
+        self._data_error(["gridsearch", "--config", cfg, "--data", path,
+                          "--out", str(tmp_path / "grid"), "--grid", "0.1x0.3"], capsys)
+
+    def test_train_on_four_rows(self, workspace, tmp_path, capsys):
+        _, cfg, data, _ = workspace
+        path = rewritten_csv(data, tmp_path, lambda rows: rows[:5])
+        line = self._data_error(["train", "--config", cfg, "--data", path,
+                                 "--out", str(tmp_path / "run")], capsys)
+        assert "need n >= 5 to split" in line
+
+    @pytest.mark.parametrize("command", ["sensitivity", "explain"])
+    def test_sweep_on_four_rows(self, command, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 4})
+        line = self._data_error([command, "--config", cfg, "--out", str(tmp_path / "s"),
+                                 "--trials", "2"], capsys)
+        assert "need n >= 5 to split" in line
+
+
+class TestDivergence:
+    """A step size that overflows the representations is a numerical failure."""
+
+    def test_train_exits_3(self, workspace, tmp_path, capsys):
+        _, _, data, _ = workspace
+        cfg = write_config(tmp_path, {"alpha": 1e200})
+        capsys.readouterr()
+        code = main(["train", "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "run")])
+        assert code == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "numerical failure: non-finite transport cost" in err
+        assert not (tmp_path / "run" / "checkpoint.npz").exists()
+
+    def test_sensitivity_records_error_rows(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"n": 60, "epochs": 1, "alpha": 1e200})
+        out = tmp_path / "sens"
+        code = main(["sensitivity", "--config", cfg, "--out", str(out), "--trials", "2"])
+        assert code == EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        samples = read_rows(out / "sensitivity_samples.csv")
+        assert len(samples) == 3
+        for row in samples[1:]:
+            assert row[4].startswith("error: non-finite transport cost")
+        assert read_rows(out / "sensitivity.csv")[1][8] == "0"
+
+
+class TestValueChecks:
+    def test_negative_grid_value(self, workspace, tmp_path, capsys):
+        _, cfg, data, _ = workspace
+        capsys.readouterr()
+        code = main(["gridsearch", "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "grid"), "--grid=-0.1x0.3"])
+        assert code == EXIT_USAGE
+        assert only_error_line(capsys).startswith("error: --grid")
+
+    def test_nan_rho(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        code = main(["sensitivity", "--config", cfg, "--out", str(tmp_path / "s"),
+                     "--rho", "nan", "--trials", "2"])
+        assert code == EXIT_USAGE
+        assert only_error_line(capsys) == "error: every --rho must lie in [-1, 1]"
+        assert not (tmp_path / "s" / "sensitivity.csv").exists()

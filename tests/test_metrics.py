@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from dtanet.metrics import MetricsReport, abs_effect_errors, pehe, policy_risk
+from dtanet.metrics import MetricsReport, effect_report, pehe, policy_risk
 from dtanet.model import EffectEstimates
 from dtanet.synth import SynthConfig, generate
 
@@ -60,18 +60,24 @@ def make_estimates(ite, t, mte, dte):
                            ade=float(np.mean(dte)))
 
 
-class TestAbsEffectErrors:
+def errors(report):
+    return report.eps_ate, report.eps_att, report.eps_mte, report.eps_dte
+
+
+class TestEffectReport:
     def test_exact_estimate_gives_zeros(self):
         ds, truth = generate(SynthConfig(n=30, d=6, seed=0))
         est = make_estimates(truth.ite(), ds.t, truth.mte_at(ds.t), truth.dte_at(ds.t))
-        errs = abs_effect_errors(est, truth, ds.t)
-        assert errs == (0.0, 0.0, 0.0, 0.0)
+        report = effect_report(est, ds.t, truth=truth)
+        assert errors(report) == (0.0, 0.0, 0.0, 0.0)
+        assert report.sqrt_pehe == 0.0
+        assert report.policy_risk is None  # no factual predictions given
 
     def test_known_offset(self):
         ds, truth = generate(SynthConfig(n=30, d=6, seed=0))
         est = make_estimates(truth.ite() - 0.5, ds.t,
                              truth.mte_at(ds.t), truth.dte_at(ds.t))
-        eps_ate, eps_att, eps_mte, eps_dte = abs_effect_errors(est, truth, ds.t)
+        eps_ate, eps_att, eps_mte, eps_dte = errors(effect_report(est, ds.t, truth=truth))
         assert eps_ate == pytest.approx(0.5)
         assert eps_att == pytest.approx(0.5)
         assert eps_mte == pytest.approx(0.0)
@@ -82,8 +88,27 @@ class TestAbsEffectErrors:
         t = np.zeros(20, dtype=int)
         est = make_estimates(truth.ite(), np.r_[1, np.zeros(19, dtype=int)],
                              truth.mte_at(t), truth.dte_at(t))
-        _, eps_att, _, _ = abs_effect_errors(est, truth, t)
-        assert eps_att is None
+        assert effect_report(est, t, truth=truth).eps_att is None
+
+    def test_true_ite_only_leaves_mediated_and_direct_unset(self):
+        ds, truth = generate(SynthConfig(n=30, d=6, seed=0))
+        est = make_estimates(truth.ite() - 0.5, ds.t,
+                             truth.mte_at(ds.t), truth.dte_at(ds.t))
+        est.pred_t, est.pred_c = np.ones(30), np.zeros(30)
+        report = effect_report(est, ds.t, true_ite=truth.ite())
+        assert report.sqrt_pehe == pytest.approx(0.5)
+        assert report.eps_ate == pytest.approx(0.5)
+        assert report.eps_att == pytest.approx(0.5)
+        assert report.eps_mte is None and report.eps_dte is None
+        assert report.policy_risk == pytest.approx(0.0)  # treat all, reward 1
+
+    def test_no_truth_gives_policy_risk_only(self):
+        ds, truth = generate(SynthConfig(n=30, d=6, seed=0))
+        est = make_estimates(truth.ite(), ds.t, truth.mte_at(ds.t), truth.dte_at(ds.t))
+        est.pred_t, est.pred_c = np.zeros(30), np.ones(30)
+        report = effect_report(est, ds.t)
+        assert report.to_dict() == {**MetricsReport().to_dict(),
+                                    "policy_risk": pytest.approx(0.0)}
 
 
 class TestPolicyRisk:
@@ -123,6 +148,10 @@ class TestMetricsReport:
         assert row[0] == repr(1.5)
         assert row[1] == row[2] == row[3] == row[4] == ""
         assert row[5] == repr(0.25)
+
+    def test_csv_row_follows_field_order(self):
+        rep = MetricsReport(*[float(k) for k in range(6)])
+        assert rep.csv_row() == [repr(float(k)) for k in range(6)]
 
     def test_to_dict_keys_match_fields(self):
         rep = MetricsReport()

@@ -24,6 +24,7 @@ class TestRepresent:
         m = small_model()
         Z, M_t, M_c = represent(m, np.empty((0, 4)))
         assert Z.shape == (0, 3) and M_t.shape == (0, 2) and M_c.shape == (0, 2)
+        assert predict_outcomes(m, np.empty((0, 4)), "treated", "control").shape == (0,)
 
     def test_identity_nets_pass_positive_input(self):
         eye = nn.DenseNet([np.eye(2)], [np.zeros(2)])

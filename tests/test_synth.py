@@ -46,8 +46,9 @@ class TestSynthConfig:
             SynthConfig(n=1)
         with pytest.raises(ValueError):
             SynthConfig(d=4)
-        with pytest.raises(ValueError):
-            SynthConfig(rho=1.5)
+        for rho in (1.5, float("nan")):
+            with pytest.raises(ValueError):
+                SynthConfig(rho=rho)
 
 
 class TestGenerate:

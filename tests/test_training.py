@@ -8,8 +8,10 @@ import pytest
 from dtanet import nn, ot
 from dtanet.model import init_model
 from dtanet.synth import SynthConfig, generate
-from dtanet.training import (TrainConfig, compute_gradients, loss_orthogonal,
-                             loss_outcome, total_loss, train, train_step)
+from dtanet.data import DataError
+from dtanet.training import (TraceRecord, TrainConfig, compute_gradients,
+                             loss_orthogonal, loss_outcome, total_loss, train,
+                             train_step, write_trace_csv)
 
 TINY = dict(rep_dim=2, med_dim=2, phi_hidden=(2,), psi_hidden=(2,), head_hidden=(2,))
 
@@ -153,6 +155,17 @@ class TestGradientAssembly:
         assert grads["head_c"] is None
         assert grads["phi"] is not None and grads["psi_t"] is not None
 
+    def test_overflowed_representations_raise_floating_point_error(self):
+        m = tiny_model(seed=9)
+        for w in m.phi.weights:
+            w *= 1e200
+        rng = np.random.default_rng(6)
+        with np.errstate(all="ignore"), \
+                pytest.raises(FloatingPointError, match="non-finite transport cost"):
+            compute_gradients(m, rng.standard_normal((4, 3)), rng.standard_normal(4),
+                              rng.standard_normal((4, 3)), rng.standard_normal(4),
+                              tiny_cfg())
+
 
 def two_pass_gradients(model, X_t, y_t, X_c, y_c, cfg):
     """Reference assembly: phi forward and backward once per arm, grads summed."""
@@ -238,6 +251,21 @@ class TestTrain:
         for name, net in model.bundles().items():
             for a, b in zip(net.params(), fresh.bundles()[name].params()):
                 np.testing.assert_array_equal(a, b)
+
+    def test_single_arm_training_set_is_a_data_error(self):
+        ds = self.make_data()
+        control = np.nonzero(ds.t == 0)[0]
+        with pytest.raises(DataError, match="one treated and one control"):
+            train(ds, tiny_cfg(), control)
+
+    def test_trace_csv_columns_are_the_record_fields(self, tmp_path):
+        rec = TraceRecord(epoch=2, l_y=0.5, l_sim=0.25, l_balan=1e-3, total=0.1,
+                          sinkhorn_residual=3e-7, val_l_y=math.nan, seconds=0.75)
+        path = tmp_path / "trace.csv"
+        write_trace_csv(path, [rec])
+        assert path.read_text().splitlines() == [
+            "epoch,l_y,l_sim,l_balan,total,sinkhorn_residual,val_l_y,seconds",
+            "2,0.5,0.25,0.001,0.1,3e-07,nan,0.75"]
 
     def test_loss_improves(self):
         ds = self.make_data(n=200, seed=42)
