@@ -256,6 +256,8 @@ def cmd_explain(args) -> int:
 
 
 def cmd_sensitivity(args) -> int:
+    if args.trials < 1:
+        raise UsageError("--trials must be at least 1")
     synth_cfg, train_cfg = _configs(args)
     out = _outdir(args)
     rhos = sorted(set(args.rho if args.rho else [0.0]))

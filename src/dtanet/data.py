@@ -9,6 +9,7 @@ write/load cycle preserves every value bit-exactly.
 
 from __future__ import annotations
 
+import array
 import csv
 from dataclasses import dataclass, field
 
@@ -96,24 +97,60 @@ class ObservationalDataset:
             covariate_names=[self.covariate_names[j] for j in keep])
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+_WRITE_BLOCK_ROWS = 1024
 
 
 def write_csv(path, dataset: ObservationalDataset):
+    """Write the header, then one line per row in blocks of rows.
+
+    Each float is written as repr(float), each treatment as its integer. The
+    header goes through csv.writer, so a covariate name that needs quotes
+    gets them; data lines end in CRLF, as csv.writer's do. Only one block of
+    rows is held as Python objects at a time.
+    """
     header = list(dataset.covariate_names) + ["t", "y"]
-    gt = dataset.has_ground_truth
-    if gt:
+    tail = [dataset.y]
+    if dataset.has_ground_truth:
         header += list(GT_COLUMNS)
+        tail += [dataset.gt_y0, dataset.gt_y1, dataset.gt_m0, dataset.gt_m1]
+    tail = np.stack(tail, axis=1)
+
+    def lines():
+        for lo in range(0, dataset.n, _WRITE_BLOCK_ROWS):
+            hi = lo + _WRITE_BLOCK_ROWS
+            for x, t, rest in zip(dataset.X[lo:hi].tolist(), dataset.t[lo:hi].tolist(),
+                                  tail[lo:hi].tolist()):
+                yield ",".join(map(repr, x + [t] + rest)) + "\r\n"
+
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i in range(dataset.n):
-            row = [_fmt(v) for v in dataset.X[i]] + [str(int(dataset.t[i])), _fmt(dataset.y[i])]
-            if gt:
-                row += [_fmt(dataset.gt_y0[i]), _fmt(dataset.gt_y1[i]),
-                        _fmt(dataset.gt_m0[i]), _fmt(dataset.gt_m1[i])]
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.writelines(lines())
+
+
+def _parse_rows(path, reader, header) -> np.ndarray:
+    """Every remaining row of reader as one (n, len(header)) float64 array.
+
+    Cells are parsed with float(); rows stream into one growing float64
+    buffer, so no row is kept as strings. The first ragged row or
+    non-numeric cell raises DataError naming its row (the header is row 1).
+    """
+    width = len(header)
+    buf = array.array("d")
+    for i, row in enumerate(reader, start=2):
+        if len(row) != width:
+            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+        try:
+            buf.extend(map(float, row))
+        except ValueError:
+            for c, cell in zip(header, row):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataError(f"{path}: row {i}, column '{c}': "
+                                    f"non-numeric cell {cell!r}") from None
+    if not buf:
+        raise DataError(f"{path}: no data rows")
+    return np.frombuffer(buf).reshape(-1, width)
 
 
 def load_csv(path) -> ObservationalDataset:
@@ -123,30 +160,19 @@ def load_csv(path) -> ObservationalDataset:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = list(reader)
-    if "t" not in header or "y" not in header:
-        raise DataError(f"{path}: header must contain 't' and 'y' columns")
-    cov_names = [c for c in header if c not in ("t", "y") and c not in GT_COLUMNS]
-    if not cov_names:
-        raise DataError(f"{path}: no covariate columns found")
-    gt_present = [c for c in GT_COLUMNS if c in header]
-    if gt_present and len(gt_present) != len(GT_COLUMNS):
-        raise DataError(f"{path}: partial ground-truth columns {gt_present}")
-    col_index = {c: header.index(c) for c in header}
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-
-    n, width = len(rows), len(header)
-    values = np.empty((n, width))
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, expected {width}")
-        for c, cell in zip(header, row):
-            try:
-                values[i, col_index[c]] = float(cell)
-            except ValueError:
-                raise DataError(
-                    f"{path}: row {i + 2}, column '{c}': non-numeric cell {cell!r}") from None
+        for j, c in enumerate(header):
+            if c in header[:j]:
+                raise DataError(f"{path}: duplicate column name '{c}' in the header")
+        if "t" not in header or "y" not in header:
+            raise DataError(f"{path}: header must contain 't' and 'y' columns")
+        cov_names = [c for c in header if c not in ("t", "y") and c not in GT_COLUMNS]
+        if not cov_names:
+            raise DataError(f"{path}: no covariate columns found")
+        gt_present = [c for c in GT_COLUMNS if c in header]
+        if gt_present and len(gt_present) != len(GT_COLUMNS):
+            raise DataError(f"{path}: partial ground-truth columns {gt_present}")
+        col_index = {c: header.index(c) for c in header}
+        values = _parse_rows(path, reader, header)
 
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:

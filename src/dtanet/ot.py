@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import wasserstein_distance
 
 
 @dataclass
@@ -156,4 +155,7 @@ def wasserstein_1d(a, b) -> float:
     b = np.asarray(b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("both sample lists must be nonempty")
+    # imported here: scipy.stats costs about a second to import, and only
+    # `dtanet explain` needs it
+    from scipy.stats import wasserstein_distance
     return float(wasserstein_distance(a, b))

@@ -251,29 +251,32 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
     states = {name: nn.adam_init(net.params(), cfg.alpha, cfg.beta1, cfg.beta2)
               for name, net in model.bundles().items()}
     best_model, best_val = None, math.inf
-    for epoch in range(cfg.epochs):
-        t0 = time.perf_counter()
-        sums = {"l_y": 0.0, "l_sim": 0.0, "l_balan": 0.0, "total": 0.0}
-        worst_residual = 0.0
-        for step in range(steps):
-            bt = sample_arm_batch(dataset, idx, 1, cfg.batch_size_t, rng)
-            bc = sample_arm_batch(dataset, idx, 0, cfg.batch_size_c, rng)
-            parts = train_step(model, states, dataset.X[bt], dataset.y[bt],
-                               dataset.X[bc], dataset.y[bc], cfg)
-            if not math.isfinite(parts["total"]):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {step}")
-            for key in sums:
-                sums[key] += parts[key]
-            worst_residual = max(worst_residual, parts["sinkhorn_residual"])
-        val_l_y = math.nan
-        if val_indices is not None and len(val_indices):
-            val_l_y = _validation_outcome_loss(model, dataset, val_indices, cfg.lambda0)
-            if val_l_y < best_val:
-                best_val, best_model = val_l_y, model.copy()
-        trace.append(TraceRecord(
-            epoch=epoch, l_y=sums["l_y"] / steps, l_sim=sums["l_sim"] / steps,
-            l_balan=sums["l_balan"] / steps, total=sums["total"] / steps,
-            sinkhorn_residual=worst_residual, val_l_y=val_l_y,
-            seconds=time.perf_counter() - t0))
+    # overflow on the way to a divergence is caught by the finiteness checks
+    # below, which raise FloatingPointError; NumPy's warnings only add noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            t0 = time.perf_counter()
+            sums = {"l_y": 0.0, "l_sim": 0.0, "l_balan": 0.0, "total": 0.0}
+            worst_residual = 0.0
+            for step in range(steps):
+                bt = sample_arm_batch(dataset, idx, 1, cfg.batch_size_t, rng)
+                bc = sample_arm_batch(dataset, idx, 0, cfg.batch_size_c, rng)
+                parts = train_step(model, states, dataset.X[bt], dataset.y[bt],
+                                   dataset.X[bc], dataset.y[bc], cfg)
+                if not math.isfinite(parts["total"]):
+                    raise FloatingPointError(
+                        f"non-finite loss at epoch {epoch}, batch {step}")
+                for key in sums:
+                    sums[key] += parts[key]
+                worst_residual = max(worst_residual, parts["sinkhorn_residual"])
+            val_l_y = math.nan
+            if val_indices is not None and len(val_indices):
+                val_l_y = _validation_outcome_loss(model, dataset, val_indices, cfg.lambda0)
+                if val_l_y < best_val:
+                    best_val, best_model = val_l_y, model.copy()
+            trace.append(TraceRecord(
+                epoch=epoch, l_y=sums["l_y"] / steps, l_sim=sums["l_sim"] / steps,
+                l_balan=sums["l_balan"] / steps, total=sums["total"] / steps,
+                sinkhorn_residual=worst_residual, val_l_y=val_l_y,
+                seconds=time.perf_counter() - t0))
     return (best_model if best_model is not None else model), trace

@@ -2,6 +2,11 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -468,12 +473,21 @@ class TestDataConditions:
 class TestDivergence:
     """A step size that overflows the representations is a numerical failure."""
 
+    @staticmethod
+    def _quiet_main(argv):
+        """main(argv), asserting that it issues no RuntimeWarning."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        return code
+
     def test_train_exits_3(self, workspace, tmp_path, capsys):
         _, _, data, _ = workspace
         cfg = write_config(tmp_path, {"alpha": 1e200})
         capsys.readouterr()
-        code = main(["train", "--config", cfg, "--data", data,
-                     "--out", str(tmp_path / "run")])
+        code = self._quiet_main(["train", "--config", cfg, "--data", data,
+                                 "--out", str(tmp_path / "run")])
         assert code == EXIT_NUMERICAL
         err = capsys.readouterr().err
         assert "Traceback" not in err
@@ -483,7 +497,8 @@ class TestDivergence:
     def test_sensitivity_records_error_rows(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"n": 60, "epochs": 1, "alpha": 1e200})
         out = tmp_path / "sens"
-        code = main(["sensitivity", "--config", cfg, "--out", str(out), "--trials", "2"])
+        code = self._quiet_main(["sensitivity", "--config", cfg, "--out", str(out),
+                                 "--trials", "2"])
         assert code == EXIT_OK
         assert "Traceback" not in capsys.readouterr().err
         samples = read_rows(out / "sensitivity_samples.csv")
@@ -509,3 +524,21 @@ class TestValueChecks:
         assert code == EXIT_USAGE
         assert only_error_line(capsys) == "error: every --rho must lie in [-1, 1]"
         assert not (tmp_path / "s" / "sensitivity.csv").exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_sensitivity_trials_floor(self, tmp_path, capsys, trials):
+        cfg = write_config(tmp_path)
+        code = main(["sensitivity", "--config", cfg, "--out", str(tmp_path / "s"),
+                     f"--trials={trials}"])
+        assert code == EXIT_USAGE
+        assert only_error_line(capsys) == "error: --trials must be at least 1"
+        assert not (tmp_path / "s").exists()
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, dtanet.cli; print('scipy.stats' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.stdout.strip() == "False"

@@ -1,10 +1,13 @@
 """CSV round-trips, dataset validation, splits, arm batch sampling."""
 
+import csv
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtanet.data import (DataError, ObservationalDataset, load_csv,
+from dtanet.data import (GT_COLUMNS, DataError, ObservationalDataset, load_csv,
                          sample_arm_batch, split, write_csv)
 from dtanet.synth import SynthConfig, generate
 
@@ -20,6 +23,40 @@ def toy_dataset(n=6, d=3, seed=0, gt=False):
     return ObservationalDataset(X=rng.standard_normal((n, d)),
                                 t=rng.integers(0, 2, n),
                                 y=rng.standard_normal(n), **kwargs)
+
+
+def reference_write_csv(path, dataset):
+    """The CSV contract cell by cell: csv.writer rows of repr(float) and str(int)."""
+    header = list(dataset.covariate_names) + ["t", "y"]
+    gt = dataset.has_ground_truth
+    if gt:
+        header += list(GT_COLUMNS)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(dataset.n):
+            row = [repr(float(v)) for v in dataset.X[i]]
+            row += [str(int(dataset.t[i])), repr(float(dataset.y[i]))]
+            if gt:
+                row += [repr(float(getattr(dataset, c)[i])) for c in GT_COLUMNS]
+            writer.writerow(row)
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e16, 1e-05, 1.7976931348623157e308]
+
+
+@st.composite
+def datasets(draw):
+    n, d = draw(st.integers(1, 8)), draw(st.integers(1, 4))
+    cells = st.one_of(finite, st.sampled_from(EDGE_VALUES))
+    column = st.lists(cells, min_size=n, max_size=n)
+    kwargs = {}
+    if draw(st.booleans()):
+        kwargs = {c: draw(column) for c in GT_COLUMNS}
+    X = np.array(draw(st.lists(column, min_size=d, max_size=d))).T
+    return ObservationalDataset(
+        X=X, t=draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+        y=draw(column), **kwargs)
 
 
 class TestDatasetValidation:
@@ -83,6 +120,71 @@ class TestCsv:
         np.testing.assert_array_equal(back.X, X)
         np.testing.assert_array_equal(back.t, t)
         np.testing.assert_array_equal(back.y, y)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ds=datasets())
+    def test_bytes_match_reference_writer(self, ds, tmp_path_factory):
+        folder = tmp_path_factory.mktemp("csv")
+        write_csv(folder / "fast.csv", ds)
+        reference_write_csv(folder / "ref.csv", ds)
+        assert (folder / "fast.csv").read_bytes() == (folder / "ref.csv").read_bytes()
+
+    @pytest.mark.parametrize("gt", [False, True])
+    def test_edge_values_and_quoted_names_match_reference(self, tmp_path, gt):
+        values = np.array(EDGE_VALUES + [-v for v in EDGE_VALUES])
+        n = values.size
+        kwargs = {c: np.roll(values, k) for k, c in enumerate(GT_COLUMNS)} if gt else {}
+        names = ["a,b", 'say "hi"', "x3"]
+        ds = ObservationalDataset(
+            X=np.stack([values, values[::-1], np.roll(values, 3)], axis=1),
+            t=np.arange(n) % 2, y=np.roll(values, 5), covariate_names=names, **kwargs)
+        write_csv(tmp_path / "fast.csv", ds)
+        reference_write_csv(tmp_path / "ref.csv", ds)
+        data = (tmp_path / "fast.csv").read_bytes()
+        assert data == (tmp_path / "ref.csv").read_bytes()
+        assert data.startswith(b'"a,b","say ""hi""",x3,t,y')
+        back = load_csv(tmp_path / "fast.csv")
+        assert back.covariate_names == names
+        np.testing.assert_array_equal(back.X, ds.X)
+        assert np.array_equal(np.signbit(back.X), np.signbit(ds.X))
+
+    @pytest.mark.parametrize("cell", ['"2.5"', " 2.5 ", "\t-1e-3", "1_0", '"1_000.5"',
+                                      "\u0661\u0662", "+.5"])
+    def test_cells_parse_as_float_does(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,t,y\n{cell},1,0.0\n", encoding="utf-8")
+        assert load_csv(path).X[0, 0] == float(next(csv.reader([cell]))[0])
+
+    def test_duplicate_header_name(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,x1,t,y\n1.0,2.0,1,3.0\n")
+        with pytest.raises(DataError, match="duplicate column name 'x1'"):
+            load_csv(path)
+
+    def test_blank_line_is_a_row_of_no_cells(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,t,y\n0.5,1,2.0\n\n0.5,0,3.0\n")
+        with pytest.raises(DataError, match="row 3 has 0 cells, expected 3"):
+            load_csv(path)
+
+    def test_non_numeric_reported_before_earlier_non_finite(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("x1,t,y\n0.5,1,inf\n0.5,0,oops\n")
+        with pytest.raises(DataError, match="row 3, column 'y': non-numeric cell 'oops'"):
+            load_csv(path)
+
+    def test_load_peak_memory(self, tmp_path):
+        ds, _ = generate(SynthConfig(n=2000, d=50, seed=2))
+        path = tmp_path / "d.csv"
+        write_csv(path, ds)
+        tracemalloc.start()
+        try:
+            load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        array_bytes = ds.n * (ds.d + 2 + len(GT_COLUMNS)) * 8
+        assert peak < 5 * array_bytes
 
     def test_non_binary_treatment_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
