@@ -153,7 +153,32 @@ def _parse_rows(path, reader, header) -> np.ndarray:
     return np.frombuffer(buf).reshape(-1, width)
 
 
+def _unreadable_row(path) -> str:
+    """Why path cannot be read as UTF-8 CSV, naming the first bad row.
+
+    Reads the file again with undecodable bytes escaped, so the row is
+    found exactly even when the decoder failed a chunk ahead of the parser.
+    """
+    i = 0
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        try:
+            for i, row in enumerate(csv.reader(fh), start=1):
+                "".join(row).encode("utf-8")
+        except UnicodeEncodeError:
+            return f"{path}: row {i} is not UTF-8 text"
+        except csv.Error as exc:
+            return f"{path}: row {i + 1}: {exc}"
+    return f"{path}: not a UTF-8 CSV file"
+
+
 def load_csv(path) -> ObservationalDataset:
+    try:
+        return _load_csv(path)
+    except (UnicodeDecodeError, csv.Error):
+        raise DataError(_unreadable_row(path)) from None
+
+
+def _load_csv(path) -> ObservationalDataset:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -215,16 +240,17 @@ def split(n: int, seed: int) -> SplitIndices:
                         test=perm[:n_test], seed=seed)
 
 
-def sample_arm_batch(dataset: ObservationalDataset, indices, arm: int, size: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Uniform batch of dataset indices from one treatment arm.
-
-    Samples without replacement; falls back to with-replacement when the arm
-    is smaller than the batch.
-    """
+def arm_pools(dataset: ObservationalDataset, indices):
+    """(treated, control): the entries of indices in each arm, in their given order."""
     indices = np.asarray(indices)
-    pool = indices[dataset.t[indices] == arm]
-    if pool.size == 0:
-        name = "treated" if arm == 1 else "control"
-        raise ValueError(f"the {name} arm is empty within the given indices")
+    arms = dataset.t[indices]
+    return indices[arms == 1], indices[arms == 0]
+
+
+def sample_arm_batch(pool, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform batch of dataset indices from one arm's pool (see arm_pools).
+
+    Samples without replacement; falls back to with-replacement when the pool
+    is smaller than the batch. An empty pool raises ValueError.
+    """
     return rng.choice(pool, size=size, replace=pool.size < size)

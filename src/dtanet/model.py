@@ -95,11 +95,16 @@ def init_model(d, rep_dim, med_dim, phi_hidden, psi_hidden, head_hidden,
     return DtanetModel(phi, psi_t, psi_c, head_t, head_c)
 
 
-def represent(model: DtanetModel, X):
-    """Row-wise representations (Z, M_t, M_c) for covariate matrix X (n, d)."""
+def _covariates(model: DtanetModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != model.in_dim:
         raise ValueError(f"covariate width {X.shape} != {model.in_dim}")
+    return X
+
+
+def represent(model: DtanetModel, X):
+    """Row-wise representations (Z, M_t, M_c) for covariate matrix X (n, d)."""
+    X = _covariates(model, X)
     Z, _ = model.phi.forward(X)
     M_t, _ = model.psi_t.forward(X)
     M_c, _ = model.psi_c.forward(X)
@@ -107,11 +112,15 @@ def represent(model: DtanetModel, X):
 
 
 def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
-    """Batched head evaluation: head(concat(phi(x), psi_arm(x))) per row."""
+    """Batched head evaluation: head(concat(phi(x), psi_arm(x))) per row.
+
+    Runs phi, the mediator arm's net and the head: three forwards.
+    """
     if head not in _ARMS or mediator_arm not in _ARMS:
         raise ValueError(f"arms must be one of {_ARMS}")
-    Z, M_t, M_c = represent(model, X)
-    M = M_t if mediator_arm == TREATED else M_c
+    X = _covariates(model, X)
+    Z, _ = model.phi.forward(X)
+    M, _ = (model.psi_t if mediator_arm == TREATED else model.psi_c).forward(X)
     net = model.head_t if head == TREATED else model.head_c
     out, _ = net.forward(np.hstack([Z, M]))
     return out[:, 0]

@@ -13,15 +13,27 @@ import numpy as np
 
 
 def elu(x):
-    """ELU activation (alpha=1): x for x >= 0, exp(x)-1 otherwise."""
+    """ELU activation (alpha=1): x for x >= 0, exp(x)-1 otherwise.
+
+    Computed as max(expm1(min(x, 0)), x) in one buffer: three passes and no
+    boolean mask, whose select costs more than all three. expm1(x) >= x for
+    x < 0, and max keeps the sign of -0.0 and any NaN, so every float64 gets
+    the bits of np.where(x >= 0, x, expm1(x)).
+    """
     x = np.asarray(x, dtype=float)
-    return np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0)))
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    np.expm1(out, out=out)
+    return np.maximum(out, x, out=out)
 
 
 def elu_grad(x):
-    """Derivative of elu; 1 at x=0 by convention."""
+    """Derivative of elu; 1 at x=0 by convention.
+
+    exp(min(x, 0)): for x >= 0 that is exp(+-0.0), exactly 1.
+    """
     x = np.asarray(x, dtype=float)
-    return np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+    out = np.minimum(x, 0.0, out=np.empty_like(x))
+    return np.exp(out, out=out)
 
 
 class DenseNet:
@@ -83,7 +95,8 @@ class DenseNet:
         h = x
         last = self.n_layers - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
-            pre = h @ w.T + b
+            pre = h @ w.T
+            pre += b
             tape.append((h, pre))
             h = pre if k == last else elu(pre)
         return h, tape
@@ -104,7 +117,11 @@ class DenseNet:
         last = self.n_layers - 1
         for k in range(last, -1, -1):
             h_in, pre = tape[k]
-            d_pre = g if k == last else g * elu_grad(pre)
+            if k == last:
+                d_pre = g
+            else:
+                d_pre = elu_grad(pre)
+                d_pre *= g
             grads[2 * k] = d_pre.T @ h_in
             grads[2 * k + 1] = d_pre.sum(axis=0)
             g = d_pre @ self.weights[k]

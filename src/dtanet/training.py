@@ -23,7 +23,7 @@ from dataclasses import dataclass, asdict, astuple, fields
 import numpy as np
 
 from . import nn, ot
-from .data import DataError, ObservationalDataset, sample_arm_batch
+from .data import DataError, ObservationalDataset, arm_pools, sample_arm_batch
 from .model import DtanetModel, init_model, predict_outcomes
 
 _BUNDLES = ("phi", "psi_t", "psi_c", "head_t", "head_c")
@@ -218,6 +218,10 @@ def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c,
 
 
 def _validation_outcome_loss(model: DtanetModel, dataset, idx, lambda0: float) -> float:
+    """Outcome loss of each arm's rows under its own mediator net and head.
+
+    Six net forwards: phi, psi and the head on each arm's rows.
+    """
     X, t, y = dataset.X[idx], dataset.t[idx], dataset.y[idx]
     pred_t = predict_outcomes(model, X[t == 1], "treated", "treated")
     pred_c = predict_outcomes(model, X[t == 0], "control", "control")
@@ -242,11 +246,11 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
         return model, trace
 
     idx = np.arange(dataset.n) if train_indices is None else np.asarray(train_indices)
-    n_t = int(np.sum(dataset.t[idx] == 1))
-    n_c = idx.size - n_t
-    if n_t == 0 or n_c == 0:
+    pool_t, pool_c = arm_pools(dataset, idx)
+    if pool_t.size == 0 or pool_c.size == 0:
         raise DataError("training needs at least one treated and one control individual")
-    steps = max(1, math.ceil(max(n_t, n_c) / max(cfg.batch_size_t, cfg.batch_size_c)))
+    steps = max(1, math.ceil(max(pool_t.size, pool_c.size)
+                             / max(cfg.batch_size_t, cfg.batch_size_c)))
 
     states = {name: nn.adam_init(net.params(), cfg.alpha, cfg.beta1, cfg.beta2)
               for name, net in model.bundles().items()}
@@ -259,8 +263,8 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
             sums = {"l_y": 0.0, "l_sim": 0.0, "l_balan": 0.0, "total": 0.0}
             worst_residual = 0.0
             for step in range(steps):
-                bt = sample_arm_batch(dataset, idx, 1, cfg.batch_size_t, rng)
-                bc = sample_arm_batch(dataset, idx, 0, cfg.batch_size_c, rng)
+                bt = sample_arm_batch(pool_t, cfg.batch_size_t, rng)
+                bc = sample_arm_batch(pool_c, cfg.batch_size_c, rng)
                 parts = train_step(model, states, dataset.X[bt], dataset.y[bt],
                                    dataset.X[bc], dataset.y[bc], cfg)
                 if not math.isfinite(parts["total"]):

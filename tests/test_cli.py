@@ -208,6 +208,18 @@ def nan_cell_copy(data, tmp_path):
     return bad
 
 
+def unreadable_copy(data, tmp_path, kind):
+    """The dataset with its second data row made unreadable as UTF-8 CSV."""
+    lines = Path(data).read_bytes().split(b"\r\n")
+    if kind == "non-utf8":
+        lines[2] = b"\xff" + lines[2]
+    else:
+        lines[2] = b"1" * (csv.field_size_limit() + 1) + lines[2]
+    bad = tmp_path / f"{kind}.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    return bad
+
+
 def only_error_line(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
@@ -237,6 +249,22 @@ class TestBadInput:
         assert code == EXIT_DATA
         assert "row 2, column 'x2': non-finite" in only_error_line(capsys)
         assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("kind, message", [
+        ("non-utf8", "row 3 is not UTF-8 text"),
+        ("long-cell", "row 3: field larger than field limit"),
+    ])
+    @pytest.mark.parametrize("command", ["train", "evaluate"])
+    def test_unreadable_file(self, workspace, tmp_path, capsys, command, kind, message):
+        _, cfg, data, run = workspace
+        bad = unreadable_copy(data, tmp_path, kind)
+        args = [command, "--config", cfg, "--data", str(bad), "--out", str(tmp_path / "out")]
+        if command == "evaluate":
+            args += ["--checkpoint", str(run / "checkpoint.npz")]
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        line = only_error_line(capsys)
+        assert line.startswith("data error:") and message in line
 
     def _evaluate(self, workspace, ckpt, tmp_path, capsys):
         _, cfg, data, _ = workspace

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dtanet.data import (GT_COLUMNS, DataError, ObservationalDataset, load_csv,
-                         sample_arm_batch, split, write_csv)
+from dtanet.data import (GT_COLUMNS, DataError, ObservationalDataset, arm_pools,
+                         load_csv, sample_arm_batch, split, write_csv)
 from dtanet.synth import SynthConfig, generate
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -205,6 +205,25 @@ class TestCsv:
         with pytest.raises(DataError, match="row 4, column 'x2': non-finite"):
             load_csv(path)
 
+    @pytest.mark.parametrize("lines, row", [
+        ([b"x\xff1,t,y", b"0.5,1,2.0"], 1),
+        ([b"x1,t,y", b"0.5,1,2.0", b"0.5\xff,0,3.0"], 3),
+        # far past the decoder's first chunk, which fails ahead of the parser
+        ([b"x1,t,y"] + [b"0.5,1,2.0"] * 5000 + [b"0.5,\xe9,3.0", b"0.5,1,2.0"], 5002),
+    ])
+    def test_non_utf8_bytes_name_row(self, tmp_path, lines, row):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(DataError, match=f"row {row} is not UTF-8"):
+            load_csv(path)
+
+    def test_cell_past_field_limit_names_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x1,t,y\n0.5,1,2.0\n\"0.5\n\",0,1.0\n"
+                        f"{'1' * (csv.field_size_limit() + 1)},1,3.0\n")
+        with pytest.raises(DataError, match="row 4: field larger than field limit"):
+            load_csv(path)
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x1,t,y\n0.5,1\n")
@@ -274,38 +293,49 @@ class TestSplit:
 class TestSampleArmBatch:
     def test_only_requested_arm(self):
         ds = toy_dataset(n=30, seed=3)
+        treated, control = arm_pools(ds, np.arange(30))
+        assert np.all(ds.t[treated] == 1) and np.all(ds.t[control] == 0)
         rng = np.random.default_rng(0)
-        batch = sample_arm_batch(ds, np.arange(30), 1, 5, rng)
+        batch = sample_arm_batch(treated, 5, rng)
         assert np.all(ds.t[batch] == 1)
 
     def test_respects_index_restriction(self):
         ds = toy_dataset(n=30, seed=3)
         allowed = np.arange(10)
+        _, control = arm_pools(ds, allowed)
         rng = np.random.default_rng(1)
-        batch = sample_arm_batch(ds, allowed, 0, 4, rng)
+        batch = sample_arm_batch(control, 4, rng)
         assert set(batch) <= set(allowed.tolist())
 
+    def test_pools_keep_the_given_order(self):
+        ds = ObservationalDataset(X=np.ones((6, 2)), t=[1, 0, 1, 1, 0, 0], y=[0.0] * 6)
+        treated, control = arm_pools(ds, [5, 3, 0, 4, 2])
+        np.testing.assert_array_equal(treated, [3, 0, 2])
+        np.testing.assert_array_equal(control, [5, 4])
+
     def test_without_replacement_when_pool_is_large(self):
-        ds = ObservationalDataset(X=np.ones((20, 2)), t=np.ones(20, dtype=int),
-                                  y=np.zeros(20))
         rng = np.random.default_rng(2)
-        batch = sample_arm_batch(ds, np.arange(20), 1, 10, rng)
+        batch = sample_arm_batch(np.arange(20), 10, rng)
         assert len(set(batch.tolist())) == 10
 
     def test_with_replacement_fallback(self):
         ds = ObservationalDataset(X=np.ones((3, 2)), t=[1, 1, 0], y=[0.0] * 3)
+        treated, _ = arm_pools(ds, np.arange(3))
         rng = np.random.default_rng(3)
-        batch = sample_arm_batch(ds, np.arange(3), 1, 8, rng)
+        batch = sample_arm_batch(treated, 8, rng)
         assert len(batch) == 8
         assert set(batch.tolist()) <= {0, 1}
 
     def test_empty_arm_raises(self):
         ds = ObservationalDataset(X=np.ones((3, 2)), t=[1, 1, 1], y=[0.0] * 3)
-        with pytest.raises(ValueError, match="control"):
-            sample_arm_batch(ds, np.arange(3), 0, 2, np.random.default_rng(0))
+        _, control = arm_pools(ds, np.arange(3))
+        assert control.size == 0
+        with pytest.raises(ValueError):
+            sample_arm_batch(control, 2, np.random.default_rng(0))
 
     def test_replay_with_same_rng_state(self):
         ds = toy_dataset(n=40, seed=9)
-        b1 = sample_arm_batch(ds, np.arange(40), 1, 6, np.random.default_rng(7))
-        b2 = sample_arm_batch(ds, np.arange(40), 1, 6, np.random.default_rng(7))
+        treated, _ = arm_pools(ds, np.arange(40))
+        b1 = sample_arm_batch(treated, 6, np.random.default_rng(7))
+        b2 = sample_arm_batch(treated, 6, np.random.default_rng(7))
         np.testing.assert_array_equal(b1, b2)

@@ -153,6 +153,17 @@ class TestEstimateEffects:
         assert len(calls) == 7
         assert [calls.count(net) for net in m.bundles().values()] == [1, 1, 1, 2, 2]
 
+    @pytest.mark.parametrize("arm", ["treated", "control"])
+    def test_predict_outcomes_runs_three_forwards(self, monkeypatch, arm):
+        calls = []
+        original = nn.DenseNet.forward
+        monkeypatch.setattr(nn.DenseNet, "forward",
+                            lambda self, x: calls.append(self) or original(self, x))
+        m = small_model(23)
+        predict_outcomes(m, np.ones((3, 4)), "control", arm)
+        psi = m.psi_t if arm == "treated" else m.psi_c
+        assert calls == [m.phi, psi, m.head_c]
+
     def test_rebuilt_from_own_fields(self):
         est = estimate_effects(small_model(), np.ones((2, 4)), np.array([1, 0]))
         again = type(est)(**est.__dict__)

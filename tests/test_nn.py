@@ -34,6 +34,111 @@ class TestElu:
         assert np.isfinite(nn.elu_grad(1e4))
 
 
+def where_elu(x):
+    """ELU as the masked select it is defined by; the reference for nn.elu."""
+    x = np.asarray(x, dtype=float)
+    return np.where(x >= 0.0, x, np.expm1(np.minimum(x, 0.0)))
+
+
+def where_elu_grad(x):
+    x = np.asarray(x, dtype=float)
+    return np.where(x >= 0.0, 1.0, np.exp(np.minimum(x, 0.0)))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+# signed zeros, signed subnormals, infinities, quiet NaNs of both signs and a
+# payload, a signalling NaN, expm1's and exp's underflow edge, huge values
+SPECIALS = np.concatenate([
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -2.2250738585072014e-308,
+     np.inf, -np.inf, np.nan, -np.nan, -745.0, -746.0, -1e-17, 1e308, -1e308],
+    np.array([0x7FF8000000000123, 0xFFF8000000000456, 0x7FF0000000000001],
+             dtype=np.uint64).view(np.float64)])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value")
+class TestEluBits:
+    """nn.elu and nn.elu_grad equal the masked-select definitions bit for bit."""
+
+    @pytest.mark.parametrize("fn, ref", [(nn.elu, where_elu), (nn.elu_grad, where_elu_grad)])
+    def test_specials(self, fn, ref):
+        assert_same_bits(fn(SPECIALS), ref(SPECIALS))
+
+    def test_signed_zero(self):
+        assert np.signbit(nn.elu(-0.0)) and not np.signbit(nn.elu(0.0))
+        assert nn.elu_grad(-0.0) == nn.elu_grad(0.0) == 1.0
+
+    @pytest.mark.parametrize("scale", [1e-25, 1e-8, 1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("fn, ref", [(nn.elu, where_elu), (nn.elu_grad, where_elu_grad)])
+    def test_random_arrays(self, fn, ref, scale):
+        rng = np.random.default_rng(int(-np.log10(scale)) + 30)
+        for _ in range(20):
+            x = rng.standard_normal((64, 200)) * scale
+            assert_same_bits(fn(x), ref(x))
+            assert_same_bits(fn(x.T[::3]), ref(x.T[::3]))   # a strided view
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, 1.5, -1.5, -5e-324, np.nan])
+    @pytest.mark.parametrize("fn, ref", [(nn.elu, where_elu), (nn.elu_grad, where_elu_grad)])
+    def test_scalar_and_zero_dimensional(self, fn, ref, value):
+        for x in (value, np.float64(value), np.array(value)):
+            assert_same_bits(fn(x), ref(x))
+
+    def test_input_left_alone(self):
+        x = SPECIALS.copy()
+        nn.elu(x)
+        nn.elu_grad(x)
+        assert_same_bits(x, SPECIALS)
+
+
+def reference_forward(net, x):
+    """The forward pass with out-of-place bias and masked-select ELU."""
+    h, tape = np.asarray(x, dtype=float), []
+    for k, (w, b) in enumerate(zip(net.weights, net.biases)):
+        pre = h @ w.T + b
+        tape.append((h, pre))
+        h = pre if k == net.n_layers - 1 else where_elu(pre)
+    return h, tape
+
+
+def reference_backward(net, tape, upstream):
+    grads, g = [None] * (2 * net.n_layers), upstream
+    for k in range(net.n_layers - 1, -1, -1):
+        h_in, pre = tape[k]
+        d_pre = g if k == net.n_layers - 1 else g * where_elu_grad(pre)
+        grads[2 * k] = d_pre.T @ h_in
+        grads[2 * k + 1] = d_pre.sum(axis=0)
+        g = d_pre @ net.weights[k]
+    return grads, g
+
+
+class TestDenseNetBits:
+    @pytest.mark.parametrize("dims", [[100, 200, 200, 1], [25, 32, 32, 32], [6, 4, 4]])
+    def test_forward_and_backward_match_reference(self, dims):
+        rng = np.random.default_rng(len(dims) * 1000 + dims[1])
+        net = nn.init_dense(dims, rng)
+        for w, b in zip(net.weights, net.biases):   # nonzero biases
+            b += rng.standard_normal(b.shape)
+        for _ in range(5):
+            X = rng.standard_normal((64, dims[0])) * 3.0
+            up = rng.standard_normal((64, dims[-1]))
+            out, tape = net.forward(X)
+            ref_out, ref_tape = reference_forward(net, X)
+            assert_same_bits(out, ref_out)
+            for (h, pre), (ref_h, ref_pre) in zip(tape, ref_tape):
+                assert_same_bits(h, ref_h)
+                assert_same_bits(pre, ref_pre)
+            grads, g_in = net.backward(tape, up)
+            ref_grads, ref_g_in = reference_backward(net, ref_tape, up)
+            for got, want in zip(grads, ref_grads):
+                assert_same_bits(got, want)
+            assert_same_bits(g_in, ref_g_in)
+
+
 def naive_forward(net, x):
     """Independent straight-line re-evaluation, one sample at a time."""
     h = list(x)

@@ -309,6 +309,28 @@ class TestTrain:
         got = _validation_outcome_loss(model, ds, parts.validation, cfg.lambda0)
         assert got == pytest.approx(min(vals))
 
+    def test_validation_pass_runs_each_arm_through_its_own_nets(self, monkeypatch):
+        from dtanet.model import represent
+        from dtanet.training import _validation_outcome_loss
+
+        ds = self.make_data(n=120, seed=5)
+        model = tiny_model(ds.d, seed=5)
+        idx = np.arange(10, 100)
+        # reference: every representation on each arm's rows, as before
+        t, y = ds.t[idx], ds.y[idx]
+        preds = []
+        for arm, head, psi in ((1, model.head_t, 1), (0, model.head_c, 2)):
+            reps = represent(model, ds.X[idx][t == arm])
+            preds.append(head.forward(np.hstack([reps[0], reps[psi]]))[0][:, 0])
+        want = loss_outcome(preds[0], y[t == 1], preds[1], y[t == 0], 0.3)
+        calls = []
+        original = nn.DenseNet.forward
+        monkeypatch.setattr(nn.DenseNet, "forward",
+                            lambda self, x: calls.append(self) or original(self, x))
+        assert _validation_outcome_loss(model, ds, idx, 0.3) == want
+        assert calls == [model.phi, model.psi_t, model.head_t,
+                         model.phi, model.psi_c, model.head_c]
+
     def test_orthogonality_shrinks_normalized_overlap(self):
         from dtanet.model import represent
 
