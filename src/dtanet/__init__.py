@@ -6,7 +6,7 @@ from .metrics import MetricsReport, pehe, policy_risk
 from .model import DtanetModel, EffectEstimates, estimate_effects, init_model
 from .ot import TransportPlan, cost_matrix, sinkhorn, transport_cost, wasserstein_1d
 from .synth import GroundTruth, SynthConfig, generate
-from .training import TrainConfig, train, total_loss
+from .training import TrainConfig, train
 
 __version__ = "0.1.0"
 
@@ -16,5 +16,5 @@ __all__ = [
     "DtanetModel", "EffectEstimates", "estimate_effects", "init_model",
     "TransportPlan", "cost_matrix", "sinkhorn", "transport_cost", "wasserstein_1d",
     "GroundTruth", "SynthConfig", "generate",
-    "TrainConfig", "train", "total_loss",
+    "TrainConfig", "train",
 ]

@@ -3,8 +3,13 @@
 CSV contract: comma-separated, UTF-8, mandatory header with covariate columns
 x1..xd, a binary "t" column and a real "y" column; the four ground-truth
 columns gt_y0, gt_y1, gt_m0, gt_m1 are optional but must appear together.
-Floats are written with shortest round-trip decimal encoding, so a
+A file means what csv.reader splits it into, each data cell parsed by
+float(). Floats are written with shortest round-trip decimal encoding, so a
 write/load cycle preserves every value bit-exactly.
+
+load_csv reads the data rows with NumPy's C reader (np.loadtxt) only where a
+byte scan shows that it must return what csv.reader + float() return; every
+other file, and every error message, comes from the csv.reader path.
 """
 
 from __future__ import annotations
@@ -153,6 +158,72 @@ def _parse_rows(path, reader, header) -> np.ndarray:
     return np.frombuffer(buf).reshape(-1, width)
 
 
+_SCAN_BYTES = 1 << 16
+
+# bytes on which NumPy's reader and csv.reader + float() may part: csv.reader
+# unquotes '"', float() drops '_' between digits, and NumPy strips the
+# information separators \x1c-\x1f as whitespace where float() does not
+_PARTING_BYTES = (b'"', b"_", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+
+
+def _scan_body(fh) -> int | None:
+    """Physical lines from fh's position to its end, or None where NumPy's
+    reader could read them differently from csv.reader + float().
+
+    For an ASCII cell free of _PARTING_BYTES, float() and NumPy's reader both
+    strip whitespace and call PyOS_string_to_double, and both readers split
+    unquoted lines alike on ',' and '\n' or '\r\n'. So the body must be
+    ASCII without those bytes, put every '\r' before a '\n', hold no line
+    longer than csv's field limit (csv rejects a cell past it, NumPy reads
+    it) and hold a comma (a valid row has two; NumPy warns on a body without
+    data). The file is read in chunks of whole lines, so memory stays bounded;
+    a field limit below one chunk declines every file.
+    """
+    limit = csv.field_size_limit()
+    if limit < _SCAN_BYTES:
+        return None
+    lines, comma = 0, False
+    while chunk := fh.read(_SCAN_BYTES):
+        if not chunk.endswith(b"\n"):
+            # finish the last line; one that does not end within the limit is too long
+            chunk += fh.readline(limit + 2)
+        last_line = len(chunk) - chunk.rfind(b"\n", 0, len(chunk) - 1) - 1
+        if (last_line > limit or not chunk.isascii() or chunk.endswith(b"\r")
+                or any(b in chunk for b in _PARTING_BYTES)):
+            return None
+        a = np.frombuffer(chunk, np.uint8)
+        if np.any(a[np.flatnonzero(a == 13) + 1] != 10):
+            return None
+        lines += np.count_nonzero(a == 10) + (chunk[-1] != 10)
+        comma = comma or b"," in chunk
+    return lines if comma else None
+
+
+def _fast_rows(path, header_lines: int, width: int) -> np.ndarray | None:
+    """The data rows as np.loadtxt parses them, or None where that could
+    differ from _parse_rows (see _scan_body), which then reads them.
+
+    header_lines is csv.reader's line_num after the header.
+    """
+    with open(path, "rb") as fh:
+        for _ in range(header_lines):
+            # csv.reader also ends a line at a lone '\r'; readline does not
+            if b"\r" in fh.readline().removesuffix(b"\r\n"):
+                return None
+        body = fh.tell()
+        lines = _scan_body(fh)
+        if lines is None:
+            return None
+        fh.seek(body)
+        try:
+            values = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
+                                dtype=np.float64, ndmin=2)
+        except ValueError:
+            return None
+    # NumPy skips blank lines, which csv.reader reports as rows of no cells
+    return values if values.shape == (lines, width) else None
+
+
 def _unreadable_row(path) -> str:
     """Why path cannot be read as UTF-8 CSV, naming the first bad row.
 
@@ -197,7 +268,9 @@ def _load_csv(path) -> ObservationalDataset:
         if gt_present and len(gt_present) != len(GT_COLUMNS):
             raise DataError(f"{path}: partial ground-truth columns {gt_present}")
         col_index = {c: header.index(c) for c in header}
-        values = _parse_rows(path, reader, header)
+        values = _fast_rows(path, reader.line_num, len(header))
+        if values is None:
+            values = _parse_rows(path, reader, header)
 
     bad = np.argwhere(~np.isfinite(values))
     if bad.size:
@@ -212,8 +285,11 @@ def _load_csv(path) -> ObservationalDataset:
     kwargs = {}
     if gt_present:
         kwargs = {c: values[:, col_index[c]] for c in GT_COLUMNS}
+    cols = [col_index[c] for c in cov_names]
+    # one run of columns, as write_csv lays them out, is a view, not a copy
+    contiguous = cols[-1] - cols[0] + 1 == len(cols)
     return ObservationalDataset(
-        X=values[:, [col_index[c] for c in cov_names]],
+        X=values[:, cols[0]:cols[-1] + 1] if contiguous else values[:, cols],
         t=t_raw, y=values[:, col_index["y"]],
         covariate_names=cov_names, **kwargs)
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict, astuple
+from dataclasses import dataclass, astuple
 
 import numpy as np
 
@@ -18,9 +18,6 @@ class MetricsReport:
     eps_mte: float | None = None
     eps_dte: float | None = None
     policy_risk: float | None = None
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     FIELDS = ("sqrt_pehe", "eps_ate", "eps_att", "eps_mte", "eps_dte", "policy_risk")
 

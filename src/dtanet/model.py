@@ -126,12 +126,6 @@ def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
     return out[:, 0]
 
 
-def predict_outcome(model: DtanetModel, x, head, mediator_arm) -> float:
-    """Single-individual outcome prediction; the factual arm uses head == mediator_arm."""
-    x = np.asarray(x, dtype=float).reshape(1, -1)
-    return float(predict_outcomes(model, x, head, mediator_arm)[0])
-
-
 def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
     """Effect estimates for every individual, conditioning on factual status t.
 

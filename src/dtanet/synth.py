@@ -137,20 +137,3 @@ def generate(cfg: SynthConfig):
     dataset = ObservationalDataset(X=X, t=t, y=y, gt_y0=truth.y0, gt_y1=truth.y1,
                                    gt_m0=m0, gt_m1=m1)
     return dataset, truth
-
-
-def covariate_distribution_check(dataset: ObservationalDataset) -> dict:
-    """Arm sizes and per-arm covariate means; confirms the selection rule
-    induces a mean shift on the confounding covariates."""
-    if dataset.n == 0:
-        raise ValueError("empty dataset")
-    treated = dataset.t == 1
-    n_t = int(np.sum(treated))
-    n_c = dataset.n - n_t
-    means = np.full((2, dataset.d), np.nan)
-    if n_c:
-        means[0] = dataset.X[~treated].mean(axis=0)
-    if n_t:
-        means[1] = dataset.X[treated].mean(axis=0)
-    return {"n_t": n_t, "n_c": n_c, "arm_means": means,
-            "covariate_names": list(dataset.covariate_names)}

@@ -195,18 +195,6 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
     return grads, parts
 
 
-def total_loss(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
-    """Evaluate the full objective on a batch pair; both batches nonempty.
-
-    Returns (total, parts) where parts holds l_y, l_sim, l_balan and the
-    Sinkhorn diagnostics.
-    """
-    if len(X_t) == 0 or len(X_c) == 0:
-        raise ValueError("total_loss needs both arms (L_balan couples the clouds)")
-    _, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
-    return parts["total"], parts
-
-
 def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c,
                cfg: TrainConfig):
     """One gradient step. Bundles with no samples in the batch are untouched."""

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dtanet import data
 from dtanet.data import (GT_COLUMNS, DataError, ObservationalDataset, arm_pools,
                          load_csv, sample_arm_batch, split, write_csv)
 from dtanet.synth import SynthConfig, generate
@@ -252,6 +253,164 @@ class TestCsv:
         path = tmp_path / "bad.csv"
         path.write_text("x1,t,y\n")
         with pytest.raises(DataError, match="no data rows"):
+            load_csv(path)
+
+
+def load_outcome(path):
+    """What load_csv gives: names and the bytes of every array, or the error."""
+    try:
+        ds = load_csv(path)
+    except DataError as exc:
+        return str(exc)
+    arrays = [ds.X, ds.t, ds.y] + [getattr(ds, c) for c in GT_COLUMNS]
+    return ds.covariate_names, [None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                                for a in arrays]
+
+
+def exact_outcome(path):
+    """load_outcome with the C-reader shortcut declined, so csv.reader parses."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "_fast_rows", lambda *args: None)
+        return load_outcome(path)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """Count np.loadtxt calls; each still runs."""
+    calls = []
+    real = np.loadtxt
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", spy)
+    return calls
+
+
+# (header, index of its t column)
+HEADERS = [("x1,x2,t,y", 2), ("x1,t,x2,y", 1), ('"x,1",x2,t,y', 2),
+           ('"x\r\n1",x2,t,y', 2), ('"x\r1",x2,t,y', 2),
+           ("x1,x2,t,y," + ",".join(GT_COLUMNS), 2)]
+PADDING = [" ", "\t", "\x0b", "\x0c", "\x1c", "\x1f"]
+ODD_CELLS = ["1_0", '"2.5"', '"1,5"', "\u0661\u0662", "nan", "inf", "-Infinity", "",
+             "oops", "1e400", "0x10", "\x00", "2", "\xa01.5"]
+plain_cells = st.one_of(finite.map(repr), st.sampled_from(EDGE_VALUES).map(repr),
+                        st.integers(-10 ** 20, 10 ** 20).map(str), st.just("+.5"))
+padded_cells = st.tuples(st.sampled_from(PADDING), plain_cells,
+                         st.sampled_from(PADDING)).map("".join)
+t_cells = st.sampled_from(["0", "1", "1.0", "-0", " 1", "1e0"])
+
+
+@st.composite
+def csv_files(draw):
+    """CSV bytes from a cell grammar and a line grammar.
+
+    A clean file has rows of the header's width, valid cells and CRLF or LF
+    ends; any other file also draws odd cells, ragged rows, blank or
+    whitespace lines and lone CRs.
+    """
+    header, t_col = draw(st.sampled_from(HEADERS))
+    width = len(next(csv.reader([header])))
+    clean = draw(st.booleans())
+    ends = ["\r\n", "\n"] if clean else ["\r\n", "\n", "\r"]
+    cells = st.one_of(plain_cells, padded_cells) if clean else \
+        st.one_of(plain_cells, padded_cells, st.sampled_from(ODD_CELLS))
+    lines = []
+    for _ in range(draw(st.integers(0 if not clean else 1, 4))):
+        kind = "row" if clean else draw(st.sampled_from(["row", "row", "ragged", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        n_cells = width if kind == "row" else draw(st.sampled_from([width - 1, width + 1]))
+        row = [draw(cells) for _ in range(n_cells)]
+        if t_col < n_cells:
+            row[t_col] = draw(t_cells if clean else st.one_of(t_cells, cells))
+        lines.append(",".join(row))
+    text = header
+    for line in lines:
+        text += draw(st.sampled_from(ends)) + line
+    if draw(st.booleans()):
+        text += draw(st.sampled_from(ends))
+    return text.encode("utf-8")
+
+
+class TestFastReader:
+    """The np.loadtxt shortcut gives exactly what csv.reader + float() give."""
+
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=300, deadline=None)
+    @given(content=csv_files())
+    def test_agrees_with_exact_path(self, content, tmp_path_factory):
+        path = tmp_path_factory.mktemp("csv") / "d.csv"
+        path.write_bytes(content)
+        assert load_outcome(path) == exact_outcome(path)
+
+    def test_written_file_is_read_by_numpy_as_a_view(self, tmp_path, loadtxt_calls):
+        ds, _ = generate(SynthConfig(n=50, d=7, seed=4))
+        path = tmp_path / "d.csv"
+        write_csv(path, ds)
+        assert load_outcome(path) == exact_outcome(path)
+        back = load_csv(path)
+        assert len(loadtxt_calls) == 2
+        np.testing.assert_array_equal(back.X, ds.X)
+        assert back.X.base is not None and back.X.base is back.y.base
+
+    def test_scattered_covariates_are_copied_in_order(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,t,x2,y\n0.5,1,-2.0,3.0\n0.25,0,4.0,5.0\n")
+        back = load_csv(path)
+        np.testing.assert_array_equal(back.X, [[0.5, -2.0], [0.25, 4.0]])
+        assert back.covariate_names == ["x1", "x2"]
+
+    # one test per scan rule; each file must go to csv.reader alone
+    @pytest.mark.parametrize("rule, cell", [
+        ("non-ASCII", "\u0661\u0662"), ("quote", '"2.5"'), ("underscore", "1_0")])
+    def test_scan_declines_cells_numpy_rejects(self, tmp_path, loadtxt_calls, rule, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,t,y\r\n0.5,0,1.0\r\n{cell},1,0.0\r\n", encoding="utf-8")
+        assert load_csv(path).X[1, 0] == float(next(csv.reader([cell]))[0])
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("sep", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_scan_declines_information_separators(self, tmp_path, sep):
+        # NumPy strips them as whitespace; float() rejects them in ASCII text
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,t,y\n0.5,1,2.0\n{sep}0.5,0,3.0\n")
+        with pytest.raises(DataError) as exc:
+            load_csv(path)
+        assert str(exc.value).endswith(f"row 3, column 'x1': non-numeric cell {sep + '0.5'!r}")
+
+    def test_scan_declines_lone_carriage_return(self, tmp_path, loadtxt_calls):
+        # csv.reader ends a row at a lone CR, NumPy's line reader does not
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"x1,t,y\r\n0.5,1,2.0\r0.25,0,3.0\r\n")
+        np.testing.assert_array_equal(load_csv(path).X, [[0.5], [0.25]])
+        assert loadtxt_calls == []
+
+    def test_header_with_lone_carriage_return(self, tmp_path):
+        # a quoted CR in the header is a line to csv.reader, not to readline
+        path = tmp_path / "d.csv"
+        path.write_bytes(b'x1,"a\rb",t,y\r\n0.5,0.25,1,2.0\r\n0.75,0.5,0,3.0\r\n')
+        back = load_csv(path)
+        assert back.covariate_names == ["x1", "a\rb"]
+        np.testing.assert_array_equal(back.X, [[0.5, 0.25], [0.75, 0.5]])
+
+    def test_scan_declines_line_past_field_limit(self, tmp_path):
+        # NumPy would read the long cell as inf; csv.reader refuses it
+        path = tmp_path / "d.csv"
+        path.write_text(f"x1,t,y\n0.5,1,2.0\n{'1' * (csv.field_size_limit() + 1)},1,3.0\n")
+        with pytest.raises(DataError, match="row 3: field larger than field limit"):
+            load_csv(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("body, message", [
+        ("", "no data rows"), ("\n", "row 2 has 0 cells"),
+        ("\r\n\r\n", "row 2 has 0 cells"), ("0.5,1,2.0\n\n", "row 3 has 0 cells")])
+    def test_blank_bodies_raise_without_warnings(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("x1,t,y\n" + body, newline="")
+        with pytest.raises(DataError, match=message):
             load_csv(path)
 
 

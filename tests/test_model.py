@@ -5,7 +5,7 @@ import pytest
 
 from dtanet import nn
 from dtanet.model import (DtanetModel, estimate_effects, init_model,
-                          load_checkpoint, predict_outcome, predict_outcomes,
+                          load_checkpoint, predict_outcomes,
                           represent, save_checkpoint)
 
 
@@ -50,21 +50,27 @@ class TestRepresent:
             represent(small_model(), np.ones((2, 7)))
 
 
+def predict_one(model, x, head, mediator_arm) -> float:
+    return float(predict_outcomes(model, np.reshape(x, (1, -1)), head, mediator_arm)[0])
+
+
 class TestPredictOutcome:
+    """predict_outcomes on one individual."""
+
     def test_constant_heads(self):
         m = small_model()
         m.head_t = constant_head(1.0, 5)
         m.head_c = constant_head(0.0, 5)
         x = np.ones(4)
-        assert predict_outcome(m, x, "treated", "treated") == 1.0
-        assert predict_outcome(m, x, "control", "control") == 0.0
+        assert predict_one(m, x, "treated", "treated") == 1.0
+        assert predict_one(m, x, "control", "control") == 0.0
 
     def test_identical_psi_makes_arms_symmetric(self):
         m = small_model(5)
         m.psi_c = m.psi_t.copy()
         x = np.random.default_rng(2).standard_normal(4)
-        a = predict_outcome(m, x, "treated", "treated")
-        b = predict_outcome(m, x, "treated", "control")
+        a = predict_one(m, x, "treated", "treated")
+        b = predict_one(m, x, "treated", "control")
         assert a == pytest.approx(b, abs=1e-15)
 
     def test_matches_manual_composition(self):
@@ -73,11 +79,11 @@ class TestPredictOutcome:
         z, _ = m.phi.forward(x.reshape(1, -1))
         mt, _ = m.psi_t.forward(x.reshape(1, -1))
         manual, _ = m.head_t.forward(np.hstack([z, mt]))
-        assert predict_outcome(m, x, "treated", "treated") == pytest.approx(manual[0, 0])
+        assert predict_one(m, x, "treated", "treated") == pytest.approx(manual[0, 0])
 
     def test_invalid_arm_rejected(self):
         with pytest.raises(ValueError):
-            predict_outcome(small_model(), np.ones(4), "treated", "placebo")
+            predict_one(small_model(), np.ones(4), "treated", "placebo")
 
 
 class TestEstimateEffects:

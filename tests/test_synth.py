@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from dtanet.synth import (SynthConfig, basis, covariate_distribution_check,
-                          generate)
+from dtanet.synth import SynthConfig, basis, generate
 
 
 class TestBasis:
@@ -126,20 +125,11 @@ class TestGenerate:
 
     def test_selection_shifts_confounder_means(self):
         ds, _ = generate(SynthConfig(n=5000, d=10, seed=19))
-        report = covariate_distribution_check(ds)
-        assert report["n_t"] + report["n_c"] == ds.n
-        assert report["n_t"] > 0 and report["n_c"] > 0
-        means = report["arm_means"]
-        assert means.shape == (2, 10)
+        treated = ds.t == 1
+        assert 0 < np.sum(treated) < ds.n
+        means = np.stack([ds.X[~treated].mean(axis=0), ds.X[treated].mean(axis=0)])
         # x1 enters the treatment score through -2 sin(2x): arms must differ
         shift = np.abs(means[1, :5] - means[0, :5])
         assert np.max(shift) > 0.1
         # pure-noise columns stay close
         assert np.max(np.abs(means[1, 5:] - means[0, 5:])) < 0.15
-
-    def test_distribution_check_handles_single_arm(self):
-        from dtanet.data import ObservationalDataset
-        ds = ObservationalDataset(X=np.ones((3, 2)), t=[1, 1, 1], y=[0.0, 0.0, 0.0])
-        report = covariate_distribution_check(ds)
-        assert report["n_c"] == 0
-        assert np.all(np.isnan(report["arm_means"][0]))

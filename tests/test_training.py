@@ -10,7 +10,7 @@ from dtanet.model import init_model
 from dtanet.synth import SynthConfig, generate
 from dtanet.data import DataError
 from dtanet.training import (TraceRecord, TrainConfig, compute_gradients,
-                             loss_orthogonal, loss_outcome, total_loss, train,
+                             loss_orthogonal, loss_outcome, train,
                              train_step, write_trace_csv)
 
 TINY = dict(rep_dim=2, med_dim=2, phi_hidden=(2,), psi_hidden=(2,), head_hidden=(2,))
@@ -73,14 +73,16 @@ class TestLossOrthogonal:
 
 
 class TestTotalLoss:
+    """The objective's parts as compute_gradients reports them."""
+
     def test_reduces_to_outcome_loss(self):
         m = tiny_model()
         cfg = tiny_cfg(lambda1=0.0, lambda2=0.0)
         rng = np.random.default_rng(1)
         Xt, Xc = rng.standard_normal((3, 3)), rng.standard_normal((2, 3))
         yt, yc = rng.standard_normal(3), rng.standard_normal(2)
-        total, parts = total_loss(m, Xt, yt, Xc, yc, cfg)
-        assert total == pytest.approx(parts["l_y"])
+        _, parts = compute_gradients(m, Xt, yt, Xc, yc, cfg)
+        assert parts["total"] == pytest.approx(parts["l_y"])
 
     def test_parts_sum_to_total(self):
         m = tiny_model(seed=4)
@@ -88,23 +90,18 @@ class TestTotalLoss:
         rng = np.random.default_rng(2)
         Xt, Xc = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
         yt, yc = rng.standard_normal(4), rng.standard_normal(3)
-        total, parts = total_loss(m, Xt, yt, Xc, yc, cfg)
-        assert total == pytest.approx(parts["l_y"] + cfg.lambda1 * parts["l_sim"]
-                                      + cfg.lambda2 * parts["l_balan"])
+        _, parts = compute_gradients(m, Xt, yt, Xc, yc, cfg)
+        assert parts["total"] == pytest.approx(parts["l_y"] + cfg.lambda1 * parts["l_sim"]
+                                               + cfg.lambda2 * parts["l_balan"])
 
     def test_identical_clouds_balancing_near_floor(self):
         m = tiny_model(seed=5)
         cfg = tiny_cfg(lambda3=50.0)
         rng = np.random.default_rng(3)
         X = rng.standard_normal((3, 3))
-        _, parts = total_loss(m, X, np.zeros(3), X, np.zeros(3), cfg)
+        _, parts = compute_gradients(m, X, np.zeros(3), X, np.zeros(3), cfg)
         # a zero-cost coupling exists, only the entropic smoothing remains
         assert parts["l_balan"] < 0.1
-
-    def test_empty_batch_rejected(self):
-        m = tiny_model()
-        with pytest.raises(ValueError):
-            total_loss(m, np.empty((0, 3)), [], np.ones((2, 3)), [0.0, 0.0], tiny_cfg())
 
 
 class TestGradientAssembly:
