@@ -10,6 +10,12 @@ write/load cycle preserves every value bit-exactly.
 load_csv reads the data rows with NumPy's C reader (np.loadtxt) only where a
 byte scan shows that it must return what csv.reader + float() return; every
 other file, and every error message, comes from the csv.reader path.
+
+write_csv formats a row's floats with orjson's shortest round-trip formatter
+only where every one of them is 0 or has a magnitude in [1e-4, 1e16): there
+its text is repr's. Outside that range the two differ (orjson writes 0.00001
+for 1e-05, 1e16 for 1e+16 and null for NaN and the infinities), so every
+other row is joined from repr.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+import orjson
 
 GT_COLUMNS = ("gt_y0", "gt_y1", "gt_m0", "gt_m1")
 
@@ -104,14 +111,39 @@ class ObservationalDataset:
 
 _WRITE_BLOCK_ROWS = 1024
 
+# orjson formats a float64 x with the same shortest round-trip digits as
+# repr(x); the text is the same where both write positional notation, that
+# is for x == 0 and for _PLAIN_MIN <= |x| < _PLAIN_MAX
+_PLAIN_MIN, _PLAIN_MAX = 1e-4, 1e16
+
+
+def _plain_rows(block) -> np.ndarray:
+    """Whether each row of a float block holds only cells orjson writes as repr."""
+    a = np.abs(block)
+    return ((a < _PLAIN_MAX) & ((a >= _PLAIN_MIN) | (a == 0))).all(axis=1)
+
+
+def _row_texts(block) -> list:
+    """orjson's text of each row of a float block, its cells joined by commas."""
+    rows = orjson.dumps(np.ascontiguousarray(block),
+                        option=orjson.OPT_SERIALIZE_NUMPY).decode().split("],[")
+    # strip the outer "[[" and "]]" from the first and last rows, not by
+    # slicing the whole text, which would hold another copy of it
+    rows[0] = rows[0][2:]
+    rows[-1] = rows[-1][:-2]
+    return rows
+
 
 def write_csv(path, dataset: ObservationalDataset):
     """Write the header, then one line per row in blocks of rows.
 
     Each float is written as repr(float), each treatment as its integer. The
     header goes through csv.writer, so a covariate name that needs quotes
-    gets them; data lines end in CRLF, as csv.writer's do. Only one block of
-    rows is held as Python objects at a time.
+    gets them; data lines end in CRLF, as csv.writer's do. A row whose every
+    float is 0 or has a magnitude in [1e-4, 1e16) takes orjson's text of its
+    cells, which is repr's there; any other row (NaN, infinities, tiny or huge
+    magnitudes) is joined from repr itself. Only one block of rows is held as
+    text at a time.
     """
     header = list(dataset.covariate_names) + ["t", "y"]
     tail = [dataset.y]
@@ -119,13 +151,19 @@ def write_csv(path, dataset: ObservationalDataset):
         header += list(GT_COLUMNS)
         tail += [dataset.gt_y0, dataset.gt_y1, dataset.gt_m0, dataset.gt_m1]
     tail = np.stack(tail, axis=1)
+    # with no covariate column a line starts at t, not at a comma
+    sep = "," if dataset.d else ""
 
     def lines():
         for lo in range(0, dataset.n, _WRITE_BLOCK_ROWS):
             hi = lo + _WRITE_BLOCK_ROWS
-            for x, t, rest in zip(dataset.X[lo:hi].tolist(), dataset.t[lo:hi].tolist(),
-                                  tail[lo:hi].tolist()):
-                yield ",".join(map(repr, x + [t] + rest)) + "\r\n"
+            X, rest, ts = dataset.X[lo:hi], tail[lo:hi], dataset.t[lo:hi].tolist()
+            plain = (_plain_rows(X) & _plain_rows(rest)).tolist()
+            for i, (x, t, r) in enumerate(zip(_row_texts(X), ts, _row_texts(rest))):
+                if plain[i]:
+                    yield f"{x}{sep}{t},{r}\r\n"
+                else:
+                    yield ",".join(map(repr, X[i].tolist() + [t] + rest[i].tolist())) + "\r\n"
 
     with open(path, "w", newline="", encoding="utf-8") as fh:
         csv.writer(fh).writerow(header)

@@ -101,10 +101,12 @@ class DenseNet:
             h = pre if k == last else elu(pre)
         return h, tape
 
-    def backward(self, tape, upstream):
+    def backward(self, tape, upstream, input_grad=True):
         """Exact gradients of a scalar with d(scalar)/d(output) = upstream.
 
         Returns (param_grads, input_grad) where param_grads matches params().
+        With input_grad=False the first layer's input gradient, one GEMM the
+        size of that layer, is not computed and None is returned in its place.
         """
         upstream = np.asarray(upstream, dtype=float)
         if len(tape) != self.n_layers:
@@ -124,7 +126,7 @@ class DenseNet:
                 d_pre *= g
             grads[2 * k] = d_pre.T @ h_in
             grads[2 * k + 1] = d_pre.sum(axis=0)
-            g = d_pre @ self.weights[k]
+            g = d_pre @ self.weights[k] if k or input_grad else None
         return grads, g
 
 

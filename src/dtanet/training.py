@@ -172,7 +172,7 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
         grads[head_name], d_H = head.backward(tape_head, d_pred[:, None])
         dZ_all[rows] = d_H[:, :r_z] + cfg.lambda1 * (2.0 * (M @ A))
         dM = d_H[:, r_z:] + cfg.lambda1 * (2.0 * (Z @ A.T))
-        grads[psi_name], _ = psi.backward(tape_psi, dM)
+        grads[psi_name], _ = psi.backward(tape_psi, dM, input_grad=False)
 
     if n_t and n_c:
         Z_t, Z_c = Z_all[:n_t], Z_all[n_t:]
@@ -188,7 +188,7 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
         d_c, d_t = ot.balancing_gradient(plan, Z_c, Z_t)
         dZ_all[:n_t] += cfg.lambda2 * d_t
         dZ_all[n_t:] += cfg.lambda2 * d_c
-    grads["phi"], _ = model.phi.backward(tape_phi, dZ_all)
+    grads["phi"], _ = model.phi.backward(tape_phi, dZ_all, input_grad=False)
 
     parts["total"] = (parts["l_y"] + cfg.lambda1 * parts["l_sim"]
                       + cfg.lambda2 * parts["l_balan"])

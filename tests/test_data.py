@@ -4,6 +4,7 @@ import csv
 import tracemalloc
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -186,6 +187,19 @@ class TestCsv:
             tracemalloc.stop()
         array_bytes = ds.n * (ds.d + 2 + len(GT_COLUMNS)) * 8
         assert peak < 5 * array_bytes
+
+    def test_write_peak_memory(self, tmp_path):
+        ds, _ = generate(SynthConfig(n=4096, d=50, seed=2))
+        tracemalloc.start()
+        try:
+            write_csv(tmp_path / "d.csv", ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = data._WRITE_BLOCK_ROWS * (ds.d + 2 + len(GT_COLUMNS)) * 8
+        # about 5x: one block's text as bytes, as str and split into rows; the
+        # whole array formatted at once reads about 19x
+        assert peak < 8 * block_bytes
 
     def test_non_binary_treatment_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -412,6 +426,106 @@ class TestFastReader:
         path.write_text("x1,t,y\n" + body, newline="")
         with pytest.raises(DataError, match=message):
             load_csv(path)
+
+
+def orjson_texts(values):
+    """orjson's text of each float in a 1-D array, as write_csv's fast path gets it."""
+    return orjson.dumps(np.ascontiguousarray(values, dtype=float),
+                        option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(",")
+
+
+def plain_range_sweep():
+    """+-0.0, the float neighbours of 1e-4 and 1e16, non-finite, subnormal and
+    huge cells, and in every power of ten from 1e-4 to 1e15 3000 random
+    values, the 999 short decimals k e<exp> and both float neighbours of
+    each, which need 16 or 17 digits."""
+    rng = np.random.default_rng(9)
+    edges = [1e-4, 1e16]
+    parts = [[0.0, -0.0, np.nan, np.inf, 5e-324, 1e-05, 1e300], edges,
+             [np.nextafter(e, s) for e in edges for s in (0, np.inf)]]
+    for e in range(-4, 16):
+        short = np.array([float(f"{k}e{e}") for k in range(1, 1000)])
+        parts += [10.0 ** e * (1 + 9 * rng.random(3000)), short,
+                  np.nextafter(short, 0), np.nextafter(short, np.inf)]
+    values = np.concatenate(parts)
+    return np.concatenate([values, -values])
+
+
+def fast_vs_reference(folder, ds):
+    write_csv(folder / "fast.csv", ds)
+    reference_write_csv(folder / "ref.csv", ds)
+    return (folder / "fast.csv").read_bytes(), (folder / "ref.csv").read_bytes()
+
+
+class TestFastWriter:
+    """write_csv's orjson rows are byte for byte the repr rows they replace."""
+
+    def test_orjson_writes_repr_in_the_plain_range(self):
+        values = plain_range_sweep()
+        a = np.abs(values)
+        plain = (a == 0) | ((a >= 1e-4) & (a < 1e16))
+        assert plain.sum() > 200_000
+        texts = orjson_texts(values)
+        mismatches = [(repr(v), text) for v, text, p in zip(values.tolist(), texts, plain)
+                      if p and text != repr(v)]
+        assert mismatches == []
+        np.testing.assert_array_equal(data._plain_rows(values[:, None]), plain)
+        # just outside the range the two formats part, so the bounds are tight
+        outside = [np.nextafter(1e-4, 0).item(), 1e-05, 1e16, -1e16]
+        assert orjson_texts(outside) == ["0.00009999999999999999", "0.00001", "1e16", "-1e16"]
+        assert [repr(v) for v in outside] == ["9.999999999999999e-05", "1e-05", "1e+16",
+                                              "-1e+16"]
+
+    def test_several_blocks_with_fallback_rows_inside(self, tmp_path):
+        n = 2 * data._WRITE_BLOCK_ROWS + 5
+        ds = toy_dataset(n=n, d=4, seed=3, gt=True)
+        odd = {1: 1e-05, 500: 1e16, 1023: -5e-324, 1024: 1.7976931348623157e308,
+               2047: 9.999999999999999e-05, n - 1: -1e300}
+        for k, (i, v) in enumerate(odd.items()):
+            ds.X[i, k % ds.d] = v
+        ds.gt_m1[700] = 3e-7
+        fast, ref = fast_vs_reference(tmp_path, ds)
+        assert fast == ref
+        assert b"1e-05" in fast and b"1e+16" in fast and b"3e-07" in fast
+
+    def test_non_finite_and_subnormal_cells(self, tmp_path):
+        specials = np.array([np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308,
+                             2.225073858507201e-308, 1.5, -0.0])
+        n = specials.size
+        ds = ObservationalDataset(X=np.stack([specials, np.roll(specials, 2)], axis=1),
+                                  t=np.arange(n) % 2, y=np.roll(specials, 5),
+                                  gt_y0=specials, gt_y1=specials[::-1],
+                                  gt_m0=np.roll(specials, 1), gt_m1=np.ones(n))
+        fast, ref = fast_vs_reference(tmp_path, ds)
+        assert fast == ref
+        assert b"nan" in fast and b"-inf" in fast and b"null" not in fast
+
+    def test_load_csv_view_is_written_as_the_reference(self, tmp_path):
+        ds, _ = generate(SynthConfig(n=30, d=5, seed=6))
+        write_csv(tmp_path / "first.csv", ds)
+        back = load_csv(tmp_path / "first.csv")
+        assert not back.X.flags.c_contiguous
+        fast, ref = fast_vs_reference(tmp_path, back)
+        assert fast == ref == (tmp_path / "first.csv").read_bytes()
+
+    def test_scattered_columns_are_written_as_the_reference(self, tmp_path):
+        ds = toy_dataset(n=40, d=7, seed=4).drop_covariates(["x2", "x5", "x6"])
+        assert not ds.X.flags.c_contiguous
+        fast, ref = fast_vs_reference(tmp_path, ds)
+        assert fast == ref
+
+    @pytest.mark.parametrize("n, d", [(1, 3), (5, 1), (1, 1), (data._WRITE_BLOCK_ROWS + 1, 2)])
+    def test_one_row_and_one_column_blocks(self, tmp_path, n, d):
+        fast, ref = fast_vs_reference(tmp_path, toy_dataset(n=n, d=d, seed=n + d, gt=True))
+        assert fast == ref
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_no_covariate_columns(self, tmp_path, n):
+        ds = ObservationalDataset(X=np.empty((n, 0)), t=np.arange(n) % 2,
+                                  y=np.linspace(0.5, 2.5, n))
+        fast, ref = fast_vs_reference(tmp_path, ds)
+        assert fast == ref
+        assert fast.splitlines()[1] == b"0,0.5"
 
 
 class TestSplit:

@@ -137,6 +137,10 @@ class TestDenseNetBits:
             for got, want in zip(grads, ref_grads):
                 assert_same_bits(got, want)
             assert_same_bits(g_in, ref_g_in)
+            skipped, none = net.backward(tape, up, input_grad=False)
+            assert none is None
+            for got, want in zip(skipped, ref_grads):
+                assert_same_bits(got, want)
 
 
 def naive_forward(net, x):
@@ -209,6 +213,10 @@ class TestBackward:
         np.testing.assert_allclose(grads[0], up.T @ x)  # outer product
         np.testing.assert_allclose(grads[1], [2.0])
         np.testing.assert_allclose(g_in, [[2.0, 4.0]])
+        skipped, none = net.backward(tape, up, input_grad=False)
+        assert none is None
+        for a, b in zip(skipped, grads):
+            assert_same_bits(a, b)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)

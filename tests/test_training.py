@@ -222,14 +222,42 @@ class TestStackedPhiPass:
         for kind in calls:
             original = getattr(nn.DenseNet, kind)
 
-            def counted(self, *a, _kind=kind, _original=original):
+            def counted(self, *a, _kind=kind, _original=original, **kw):
                 calls[_kind] += 1
-                return _original(self, *a)
+                return _original(self, *a, **kw)
             monkeypatch.setattr(nn.DenseNet, kind, counted)
         rng = np.random.default_rng(0)
         compute_gradients(tiny_model(), rng.standard_normal((4, 3)), np.zeros(4),
                           rng.standard_normal((3, 3)), np.zeros(3), tiny_cfg())
         assert calls == {"forward": 5, "backward": 5}
+
+    @pytest.mark.parametrize("n_t, n_c", [(16, 9), (7, 0), (0, 5)])
+    def test_skipped_input_gradients_leave_parameter_gradients_bit_identical(
+            self, n_t, n_c, monkeypatch):
+        rng = np.random.default_rng(100 + n_t * 10 + n_c)
+        model = init_model(6, 8, 5, (12, 12), (10,), (9, 9), rng)
+        cfg = tiny_cfg(lambda1=0.3, lambda2=0.7, lambda3=0.5)
+        X_t, X_c = rng.standard_normal((n_t, 6)), rng.standard_normal((n_c, 6))
+        y_t, y_c = rng.standard_normal(n_t), rng.standard_normal(n_c)
+        got, _ = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
+        original, skipped = nn.DenseNet.backward, []
+
+        def every_input_grad(self, tape, upstream, input_grad=True):
+            skipped.append(not input_grad)
+            return original(self, tape, upstream)
+        monkeypatch.setattr(nn.DenseNet, "backward", every_input_grad)
+        want, _ = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
+        # phi and each present arm's mediator net skip it; the heads do not
+        assert skipped.count(True) == 1 + (n_t > 0) + (n_c > 0)
+        assert skipped.count(False) == (n_t > 0) + (n_c > 0)
+        assert got.keys() == want.keys()
+        for name, value in got.items():
+            if want[name] is None:
+                assert value is None, name
+                continue
+            for a, b in zip(value, want[name]):
+                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64),
+                                              err_msg=name)
 
 
 class TestTrain:
