@@ -7,9 +7,15 @@ A file means what csv.reader splits it into, each data cell parsed by
 float(). Floats are written with shortest round-trip decimal encoding, so a
 write/load cycle preserves every value bit-exactly.
 
-load_csv reads the data rows with NumPy's C reader (np.loadtxt) only where a
-byte scan shows that it must return what csv.reader + float() return; every
-other file, and every error message, comes from the csv.reader path.
+load_csv reads the data rows with orjson's float parser only where a scan of
+each chunk of the body shows that it must return what csv.reader + float()
+return: every byte is a digit, one of + - . e E, a comma, space, tab, CR or
+LF; no cell is the integer -0 (orjson reads it as the int 0, losing the sign
+float() keeps); every CR comes before an LF; no line is longer than csv's
+field limit; orjson raises nothing; and every physical line is one row of the
+header's width. Every other file, and every error message, comes from the
+csv.reader path. Cells float() accepts but JSON does not (+.5, 1., .5, 01)
+take that path too.
 
 write_csv formats a row's floats with orjson's shortest round-trip formatter
 only where every one of them is 0 or has a magnitude in [1e-4, 1e16): there
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 import array
 import csv
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +65,8 @@ class ObservationalDataset:
         n = self.X.shape[0]
         if n < 1 or self.X.ndim != 2:
             raise DataError("dataset must have at least one complete row")
+        if self.X.shape[1] < 1:
+            raise DataError("dataset must have at least one covariate column")
         if self.t.shape != (n,) or self.y.shape != (n,):
             raise DataError("t and y must align with X rows")
         if not np.all(np.isin(self.t, (0, 1))):
@@ -151,8 +160,6 @@ def write_csv(path, dataset: ObservationalDataset):
         header += list(GT_COLUMNS)
         tail += [dataset.gt_y0, dataset.gt_y1, dataset.gt_m0, dataset.gt_m1]
     tail = np.stack(tail, axis=1)
-    # with no covariate column a line starts at t, not at a comma
-    sep = "," if dataset.d else ""
 
     def lines():
         for lo in range(0, dataset.n, _WRITE_BLOCK_ROWS):
@@ -161,7 +168,7 @@ def write_csv(path, dataset: ObservationalDataset):
             plain = (_plain_rows(X) & _plain_rows(rest)).tolist()
             for i, (x, t, r) in enumerate(zip(_row_texts(X), ts, _row_texts(rest))):
                 if plain[i]:
-                    yield f"{x}{sep}{t},{r}\r\n"
+                    yield f"{x},{t},{r}\r\n"
                 else:
                     yield ",".join(map(repr, X[i].tolist() + [t] + rest[i].tolist())) + "\r\n"
 
@@ -196,70 +203,76 @@ def _parse_rows(path, reader, header) -> np.ndarray:
     return np.frombuffer(buf).reshape(-1, width)
 
 
-_SCAN_BYTES = 1 << 16
+_CHUNK_BYTES = 1 << 16
 
-# bytes on which NumPy's reader and csv.reader + float() may part: csv.reader
-# unquotes '"', float() drops '_' between digits, and NumPy strips the
-# information separators \x1c-\x1f as whitespace where float() does not
-_PARTING_BYTES = (b'"', b"_", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# the bytes of a body of JSON numbers, commas and whitespace; any other byte
+# (a quote, '_', a letter, a separator \x1c-\x1f, non-ASCII text) is where
+# csv.reader + float() and orjson may part
+_JSON_NUMBER_BYTES = b"0123456789+-.eE, \t\r\n"
+# a CR that ends a line for csv.reader but is whitespace to JSON
+_LONE_CR = re.compile(rb"\r(?!\n)")
+# the integer token -0: orjson reads it as the int 0, float() as -0.0
+_NEGATIVE_ZERO_INT = re.compile(rb"-0(?![.eE0-9])")
 
 
-def _scan_body(fh) -> int | None:
-    """Physical lines from fh's position to its end, or None where NumPy's
-    reader could read them differently from csv.reader + float().
+def _json_rows(chunk, width: int) -> np.ndarray | None:
+    """The rows of a chunk of whole lines as orjson reads them, or None where
+    that could differ from csv.reader + float().
 
-    For an ASCII cell free of _PARTING_BYTES, float() and NumPy's reader both
-    strip whitespace and call PyOS_string_to_double, and both readers split
-    unquoted lines alike on ',' and '\n' or '\r\n'. So the body must be
-    ASCII without those bytes, put every '\r' before a '\n', hold no line
-    longer than csv's field limit (csv rejects a cell past it, NumPy reads
-    it) and hold a comma (a valid row has two; NumPy warns on a body without
-    data). The file is read in chunks of whole lines, so memory stays bounded;
-    a field limit below one chunk declines every file.
+    A line of JSON numbers joined by commas is one row to both: csv.reader
+    splits it at the commas, float() strips the spaces and tabs JSON skips,
+    and orjson returns the correctly rounded float64 that float() returns,
+    or an int that NumPy rounds to it. The exception is the integer -0,
+    whose sign the int loses. A CR counts only before an LF. A token JSON
+    rejects (+.5, 1., .5, 01, an empty cell, a value past the float range)
+    makes orjson raise, and a blank or ragged line makes NumPy raise or
+    gives rows of another width; each declines.
     """
-    limit = csv.field_size_limit()
-    if limit < _SCAN_BYTES:
+    if (chunk.translate(None, _JSON_NUMBER_BYTES) or _LONE_CR.search(chunk)
+            or _NEGATIVE_ZERO_INT.search(chunk)):
         return None
-    lines, comma = 0, False
-    while chunk := fh.read(_SCAN_BYTES):
-        if not chunk.endswith(b"\n"):
-            # finish the last line; one that does not end within the limit is too long
-            chunk += fh.readline(limit + 2)
-        last_line = len(chunk) - chunk.rfind(b"\n", 0, len(chunk) - 1) - 1
-        if (last_line > limit or not chunk.isascii() or chunk.endswith(b"\r")
-                or any(b in chunk for b in _PARTING_BYTES)):
-            return None
-        a = np.frombuffer(chunk, np.uint8)
-        if np.any(a[np.flatnonzero(a == 13) + 1] != 10):
-            return None
-        lines += np.count_nonzero(a == 10) + (chunk[-1] != 10)
-        comma = comma or b"," in chunk
-    return lines if comma else None
+    try:
+        # every LF closes a row and opens the next, so there is one row per
+        # physical line, and after a final LF one empty row, which is dropped
+        rows = orjson.loads(b"[[" + chunk.replace(b"\n", b"],[") + b"]]")
+        if chunk.endswith(b"\n"):
+            rows.pop()
+        rows = np.array(rows, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    return rows if rows.shape[1:] == (width,) else None
 
 
 def _fast_rows(path, header_lines: int, width: int) -> np.ndarray | None:
-    """The data rows as np.loadtxt parses them, or None where that could
-    differ from _parse_rows (see _scan_body), which then reads them.
+    """The data rows as orjson parses them, or None where that could differ
+    from _parse_rows (see _json_rows), which then reads the whole file.
 
-    header_lines is csv.reader's line_num after the header.
+    header_lines is csv.reader's line_num after the header. The body is read
+    in chunks of whole lines, and each chunk's rows are appended to one
+    float64 buffer, so only one chunk is held as text and no per-chunk
+    arrays are concatenated. A line longer than csv's field limit declines
+    (csv rejects a cell past it, orjson reads it); a limit below one chunk
+    declines every file.
     """
+    limit = csv.field_size_limit()
+    if limit < _CHUNK_BYTES:
+        return None
+    buf = array.array("d")
     with open(path, "rb") as fh:
         for _ in range(header_lines):
             # csv.reader also ends a line at a lone '\r'; readline does not
             if b"\r" in fh.readline().removesuffix(b"\r\n"):
                 return None
-        body = fh.tell()
-        lines = _scan_body(fh)
-        if lines is None:
-            return None
-        fh.seek(body)
-        try:
-            values = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
-                                dtype=np.float64, ndmin=2)
-        except ValueError:
-            return None
-    # NumPy skips blank lines, which csv.reader reports as rows of no cells
-    return values if values.shape == (lines, width) else None
+        while chunk := fh.read(_CHUNK_BYTES):
+            if not chunk.endswith(b"\n"):
+                # finish the last line; one that does not end within the limit is too long
+                chunk += fh.readline(limit + 2)
+            last_line = len(chunk) - chunk.rfind(b"\n", 0, len(chunk) - 1) - 1
+            rows = None if last_line > limit else _json_rows(chunk, width)
+            if rows is None:
+                return None
+            buf.frombytes(memoryview(rows).cast("B"))
+    return np.frombuffer(buf).reshape(-1, width) if buf else None
 
 
 def _unreadable_row(path) -> str:

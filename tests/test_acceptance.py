@@ -2,8 +2,10 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the lines inline.
 The full-scale benchmark comparison (criterion 4) trains five default-size
-models and takes about 7.5-9 minutes on two cores; the rest of the test
-suite takes about a minute.
+models and takes about 7.5-9 minutes on two cores, and the sensitivity sweep
+(criterion 9) trains nine default-width models in about a minute. Both carry
+the `slow` marker, so `pytest -m "not slow"` leaves them out; the rest of
+the test suite takes about half a minute.
 """
 
 import csv
@@ -174,6 +176,7 @@ def _range(values) -> str:
     return f"{np.min(values):.2f}-{np.max(values):.2f}"
 
 
+@pytest.mark.slow
 def test_criterion_4a_model_pehe_at_most_1_5(benchmark_runs):
     """Mean sqrt PEHE of the model over the five seeds is at most 1.5."""
     b = benchmark_runs
@@ -191,6 +194,7 @@ def test_criterion_4a_model_pehe_at_most_1_5(benchmark_runs):
            f"around a constant true ITE")
 
 
+@pytest.mark.slow
 def test_criterion_4b_model_beats_single_regression(benchmark_runs):
     """Mean sqrt PEHE of the model is below that of the single regression (OLS-1)."""
     b = benchmark_runs
@@ -202,6 +206,7 @@ def test_criterion_4b_model_beats_single_regression(benchmark_runs):
            f"the single regression's own effect model")
 
 
+@pytest.mark.slow
 def test_criterion_4c_ordering_model_ols2_ols1(benchmark_runs):
     """Mean sqrt PEHE of the model is below that of the per-arm regression (OLS-2).
 
@@ -221,6 +226,7 @@ def test_criterion_4c_ordering_model_ols2_ols1(benchmark_runs):
            f"(reference, not ordered)")
 
 
+@pytest.mark.slow
 def test_criterion_4d_mediated_effect_error(benchmark_runs):
     """Mean absolute error of the average mediated effect is at most 0.6."""
     b = benchmark_runs
@@ -340,6 +346,7 @@ def test_criterion_8_external_shape_round_trip(tmp_path):
            f"round trip ok: {round_trip_ok}, finite pipeline metrics: {metrics_ok}")
 
 
+@pytest.mark.slow
 def test_criterion_9_sensitivity_curve(tmp_path):
     """AME point estimates vary continuously over the correlation sweep."""
     import json
