@@ -21,6 +21,7 @@ from .nn import DenseNet, init_dense
 TREATED = "treated"
 CONTROL = "control"
 _ARMS = (TREATED, CONTROL)
+BUNDLES = ("phi", "psi_t", "psi_c", "head_t", "head_c")
 
 
 @dataclass
@@ -54,13 +55,11 @@ class DtanetModel:
         return self.psi_t.out_dim
 
     def copy(self) -> "DtanetModel":
-        return DtanetModel(self.phi.copy(), self.psi_t.copy(), self.psi_c.copy(),
-                           self.head_t.copy(), self.head_c.copy())
+        return DtanetModel(**{name: net.copy() for name, net in self.bundles().items()})
 
     def bundles(self):
         """Named parameter bundles, in a fixed order."""
-        return {"phi": self.phi, "psi_t": self.psi_t, "psi_c": self.psi_c,
-                "head_t": self.head_t, "head_c": self.head_c}
+        return {name: getattr(self, name) for name in BUNDLES}
 
 
 @dataclass
@@ -201,7 +200,7 @@ def load_checkpoint(path):
             if not isinstance(config, dict):
                 raise DataError("config_json is not a JSON object")
             nets = {}
-            for name in ("phi", "psi_t", "psi_c", "head_t", "head_c"):
+            for name in BUNDLES:
                 weights, biases = [], []
                 k = 0
                 while f"{name}.layer{k}.weight" in data:

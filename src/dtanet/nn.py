@@ -3,6 +3,11 @@
 Everything is double precision numpy. Networks are plain stacks of affine
 layers with ELU on hidden layers and an identity output layer, which is all
 the model architecture needs.
+
+Each net keeps all its parameters in one flat C-ordered vector, theta, laid
+out as [W0, b0, W1, b1, ...] with each array raveled in C order; the weight
+and bias arrays are views into it. backward returns its parameter gradients
+as one flat vector of the same layout, and Adam updates theta in place.
 """
 
 from __future__ import annotations
@@ -40,7 +45,9 @@ class DenseNet:
     """Stack of affine layers, ELU on hidden layers, identity on the output.
 
     Weight matrices are (out, in); biases are (out,). Consecutive layer
-    dimensions must chain.
+    dimensions must chain. The constructor copies its inputs into theta, the
+    flat parameter vector [W0, b0, W1, b1, ...]; weights, biases and params()
+    are views into theta, so writing to them moves the net.
     """
 
     def __init__(self, weights, biases):
@@ -55,8 +62,12 @@ class DenseNet:
                 raise ValueError(f"layer {k}: dimensions do not chain")
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError(f"layer {k}: non-finite parameters")
-        self.weights = weights
-        self.biases = biases
+        arrays = [a for pair in zip(weights, biases) for a in pair]
+        ends = np.cumsum([a.size for a in arrays]).tolist()
+        self._layout = [(end - a.size, end, a.shape) for a, end in zip(arrays, ends)]
+        self.theta = np.concatenate([a.ravel() for a in arrays])
+        views = self.split(self.theta)
+        self.weights, self.biases = views[0::2], views[1::2]
 
     @property
     def in_dim(self) -> int:
@@ -70,17 +81,16 @@ class DenseNet:
     def n_layers(self) -> int:
         return len(self.weights)
 
+    def split(self, flat):
+        """Views of a flat vector laid out like theta, as [W0, b0, W1, b1, ...]."""
+        return [flat[lo:hi].reshape(shape) for lo, hi, shape in self._layout]
+
     def params(self):
-        """Flat parameter list [W0, b0, W1, b1, ...] (views, not copies)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """Parameter list [W0, b0, W1, b1, ...]: views into theta, not copies."""
+        return self.split(self.theta)
 
     def copy(self) -> "DenseNet":
-        return DenseNet([w.copy() for w in self.weights],
-                        [b.copy() for b in self.biases])
+        return DenseNet(self.weights, self.biases)
 
     def forward(self, x):
         """Run the net on a batch x of shape (n, in_dim).
@@ -104,9 +114,10 @@ class DenseNet:
     def backward(self, tape, upstream, input_grad=True):
         """Exact gradients of a scalar with d(scalar)/d(output) = upstream.
 
-        Returns (param_grads, input_grad) where param_grads matches params().
-        With input_grad=False the first layer's input gradient, one GEMM the
-        size of that layer, is not computed and None is returned in its place.
+        Returns (grad, input_grad). grad is a new flat vector laid out like
+        theta; split(grad) gives the per-array gradients. With
+        input_grad=False the first layer's input gradient, one GEMM the size
+        of that layer, is not computed and None is returned in its place.
         """
         upstream = np.asarray(upstream, dtype=float)
         if len(tape) != self.n_layers:
@@ -114,7 +125,8 @@ class DenseNet:
         n = tape[0][0].shape[0]
         if upstream.shape != (n, self.out_dim):
             raise ValueError(f"upstream shape {upstream.shape} != ({n}, {self.out_dim})")
-        grads = [None] * (2 * self.n_layers)
+        grad = np.empty_like(self.theta)
+        views = self.split(grad)
         g = upstream
         last = self.n_layers - 1
         for k in range(last, -1, -1):
@@ -124,10 +136,10 @@ class DenseNet:
             else:
                 d_pre = elu_grad(pre)
                 d_pre *= g
-            grads[2 * k] = d_pre.T @ h_in
-            grads[2 * k + 1] = d_pre.sum(axis=0)
+            np.matmul(d_pre.T, h_in, out=views[2 * k])
+            d_pre.sum(axis=0, out=views[2 * k + 1])
             g = d_pre @ self.weights[k] if k or input_grad else None
-        return grads, g
+        return grad, g
 
 
 def init_dense(dims, rng: np.random.Generator) -> DenseNet:
@@ -142,33 +154,17 @@ def init_dense(dims, rng: np.random.Generator) -> DenseNet:
     return DenseNet(weights, biases)
 
 
-# Adam updates its flat state in blocks of about this size, so that the
-# handful of arrays one block touches stays in cache between the passes.
+# Adam updates the flat vectors in slices of this many bytes, so that the
+# handful of arrays one slice touches stays in cache between the passes.
 _BLOCK_BYTES = 256 * 1024
-
-
-class _Block:
-    """Parameters first..stop-1 of a bundle, laid out at m[lo:hi] and v[lo:hi].
-
-    A block of several parameters gathers their gradients into g; a block
-    of one parameter reads its gradient in place (g is None).
-    """
-
-    __slots__ = ("first", "stop", "m", "v", "g", "t1", "t2", "offsets")
-
-    def __init__(self, first, stop, lo, hi, m, v, g, t1, t2, offsets):
-        self.first, self.stop = first, stop
-        self.m, self.v, self.g = m[lo:hi], v[lo:hi], g
-        self.t1, self.t2 = t1[:hi - lo], t2[:hi - lo]
-        self.offsets = offsets
 
 
 @dataclass
 class AdamState:
-    """Per-bundle Adam accumulators.
+    """Adam accumulators of one flat parameter vector.
 
-    m and v are flat: the parameters' entries in list order, each parameter
-    raveled in C order. blocks holds the update layout and its scratch.
+    m and v have the vector's layout; scratch holds two slices' worth of
+    temporaries.
     """
 
     alpha: float = 1e-3
@@ -178,69 +174,40 @@ class AdamState:
     step: int = 0
     m: np.ndarray = field(default_factory=lambda: np.zeros(0))
     v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    blocks: list = field(default_factory=list, repr=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)), repr=False)
 
 
-def adam_init(params, alpha=1e-3, beta1=0.8, beta2=0.95, eps=1e-8) -> AdamState:
-    sizes = [np.size(p) for p in params]
-    limit = _BLOCK_BYTES // 8
-    groups = []                      # [first, stop, length] of each block
-    for i, size in enumerate(sizes):
-        if groups and groups[-1][2] + size <= limit:
-            groups[-1][1] = i + 1
-            groups[-1][2] += size
-        else:
-            groups.append([i, i + 1, size])
-    total = sum(sizes)
-    m, v = np.zeros(total), np.zeros(total)
-    longest = max((n for _, _, n in groups), default=0)
-    t1, t2 = np.empty(longest), np.empty(longest)
-    gathered = np.empty(sum(n for first, stop, n in groups if stop - first > 1))
-    blocks, lo, g_lo = [], 0, 0
-    for first, stop, n in groups:
-        g = None
-        if stop - first > 1:
-            g = gathered[g_lo:g_lo + n]
-            g_lo += n
-        offsets = np.cumsum([0] + sizes[first:stop]).tolist()
-        blocks.append(_Block(first, stop, lo, lo + n, m, v, g, t1, t2, offsets))
-        lo += n
+def adam_init(theta, alpha=1e-3, beta1=0.8, beta2=0.95, eps=1e-8) -> AdamState:
+    size = np.size(theta)
     return AdamState(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                     m=m, v=v, blocks=blocks)
+                     m=np.zeros(size), v=np.zeros(size),
+                     scratch=np.empty((2, min(size, _BLOCK_BYTES // 8))))
 
 
-def adam_step(state: AdamState, params, grads):
-    """One bias-corrected Adam update, in place on params.
+def adam_step(state: AdamState, theta, grad):
+    """One bias-corrected Adam update, in place on the flat vector theta.
 
     Every entry is computed as m = beta1 m + (1 - beta1) g,
     v = beta2 v + ((1 - beta2) g) g and
-    p -= alpha (m / bc1) / (sqrt(v / bc2) + eps), in that operation order.
-    Raises FloatingPointError on any non-finite gradient entry, before any
-    parameter or accumulator moves.
+    p -= alpha (m / bc1) / (sqrt(v / bc2) + eps), in that operation order,
+    one _BLOCK_BYTES slice of theta at a time. Raises FloatingPointError on
+    any non-finite gradient entry, before any parameter or accumulator moves.
     """
-    n_params = state.blocks[-1].stop if state.blocks else 0
-    if len(params) != n_params or len(grads) != len(params):
+    if theta.shape != state.m.shape or np.shape(grad) != theta.shape:
         raise ValueError("parameter / gradient / state length mismatch")
-    flat = []
-    for blk in state.blocks:
-        if blk.g is None:
-            g = np.ravel(grads[blk.first])
-        else:
-            g = np.concatenate([np.ravel(grads[i]) for i in range(blk.first, blk.stop)],
-                               out=blk.g)
-        if g.shape != blk.m.shape:
-            raise ValueError("gradient shapes do not match the parameters")
-        if not np.isfinite(g).all():
-            raise FloatingPointError("non-finite gradient entry in Adam update")
-        flat.append(g)
+    if not np.isfinite(grad).all():
+        raise FloatingPointError("non-finite gradient entry in Adam update")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1, c2 = 1.0 - b1, 1.0 - b2
     bc1 = 1.0 - b1 ** t
     bc2 = 1.0 - b2 ** t
-    for blk, g in zip(state.blocks, flat):
-        m, v, t1, t2 = blk.m, blk.v, blk.t1, blk.t2
+    block = _BLOCK_BYTES // 8
+    for lo in range(0, theta.size, block):
+        part = slice(lo, lo + block)
+        g, m, v = grad[part], state.m[part], state.v[part]
+        t1, t2 = state.scratch[:, :g.size]
         m *= b1
         np.multiply(g, c1, out=t1)
         m += t1
@@ -254,8 +221,4 @@ def adam_step(state: AdamState, params, grads):
         np.sqrt(t2, out=t2)
         t2 += state.eps
         t1 /= t2
-        off = blk.offsets
-        for k, i in enumerate(range(blk.first, blk.stop)):
-            p = params[i]
-            p -= t1[off[k]:off[k + 1]].reshape(p.shape)
-    return params, state
+        theta[part] -= t1

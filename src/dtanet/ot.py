@@ -150,12 +150,18 @@ def balancing_gradient(plan: TransportPlan, Z_c, Z_t):
 
 
 def wasserstein_1d(a, b) -> float:
-    """First Wasserstein distance between two empirical sample lists."""
+    """First Wasserstein distance between two empirical sample lists.
+
+    The area between the two empirical CDFs, evaluated on the merged sorted
+    samples. This is scipy.stats.wasserstein_distance's formula operation for
+    operation, so the two agree bit for bit.
+    """
     a = np.asarray(a, dtype=float).ravel()
     b = np.asarray(b, dtype=float).ravel()
     if a.size == 0 or b.size == 0:
         raise ValueError("both sample lists must be nonempty")
-    # imported here: scipy.stats costs about a second to import, and only
-    # `dtanet explain` needs it
-    from scipy.stats import wasserstein_distance
-    return float(wasserstein_distance(a, b))
+    merged = np.concatenate((a, b))
+    merged.sort(kind="mergesort")
+    cdf_a = np.sort(a).searchsorted(merged[:-1], "right") / a.size
+    cdf_b = np.sort(b).searchsorted(merged[:-1], "right") / b.size
+    return float(np.vecdot(np.abs(cdf_a - cdf_b), np.diff(merged)))

@@ -24,9 +24,7 @@ import numpy as np
 
 from . import nn, ot
 from .data import DataError, ObservationalDataset, arm_pools, sample_arm_batch
-from .model import DtanetModel, init_model, predict_outcomes
-
-_BUNDLES = ("phi", "psi_t", "psi_c", "head_t", "head_c")
+from .model import BUNDLES, DtanetModel, init_model, predict_outcomes
 
 
 @dataclass
@@ -131,11 +129,11 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
     rows first, then control rows); each arm's mediator net and head run on
     that arm's rows only.
 
-    Returns (grads, parts): grads maps bundle name -> flat gradient list (or
-    None when that arm is absent from the batch pair); parts carries the loss
-    values, the Sinkhorn residual, and the frozen coupling. A transport cost
-    that is not finite (the representations overflowed) raises
-    FloatingPointError.
+    Returns (grads, parts): grads maps bundle name -> flat gradient vector
+    laid out like that net's theta (or None when that arm is absent from the
+    batch pair); parts carries the loss values, the Sinkhorn residual, and
+    the frozen coupling. A transport cost that is not finite (the
+    representations overflowed) raises FloatingPointError.
     """
     X_t = np.asarray(X_t, dtype=float).reshape(-1, model.in_dim)
     X_c = np.asarray(X_c, dtype=float).reshape(-1, model.in_dim)
@@ -143,7 +141,7 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
     if n_t == 0 and n_c == 0:
         raise ValueError("both batches are empty")
     r_z = model.rep_dim
-    grads = dict.fromkeys(_BUNDLES)
+    grads = dict.fromkeys(BUNDLES)
     parts = {"l_y": 0.0, "l_sim": 0.0, "l_balan": 0.0,
              "sinkhorn_residual": math.nan, "gamma": None}
 
@@ -201,7 +199,7 @@ def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c,
     grads, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
     for name, net in model.bundles().items():
         if grads[name] is not None:
-            nn.adam_step(states[name], net.params(), grads[name])
+            nn.adam_step(states[name], net.theta, grads[name])
     return parts
 
 
@@ -240,7 +238,7 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
     steps = max(1, math.ceil(max(pool_t.size, pool_c.size)
                              / max(cfg.batch_size_t, cfg.batch_size_c)))
 
-    states = {name: nn.adam_init(net.params(), cfg.alpha, cfg.beta1, cfg.beta2)
+    states = {name: nn.adam_init(net.theta, cfg.alpha, cfg.beta1, cfg.beta2)
               for name, net in model.bundles().items()}
     best_model, best_val = None, math.inf
     # overflow on the way to a divergence is caught by the finiteness checks

@@ -78,7 +78,7 @@ def test_criterion_1_gradient_correctness():
                 p[ix] = orig
                 fd = (hi - lo) / (2 * eps)
                 denom = max(abs(fd), 1e-8)
-                worst = max(worst, abs(grads[name][pi][ix] - fd) / denom)
+                worst = max(worst, abs(net.split(grads[name])[pi][ix] - fd) / denom)
     elapsed = time.time() - start
     report("1", worst < 1e-4 and elapsed < 5.0,
            f"worst relative error {worst:.2e}, {elapsed:.2f}s")
@@ -275,7 +275,7 @@ def test_criterion_6_gradient_routing():
                       head_hidden=(4,))
     rng = np.random.default_rng(2)
     model = init_model(ds.d, 4, 4, (4,), (4,), (4,), rng)
-    states = {name: nn.adam_init(net.params(), cfg.alpha, cfg.beta1, cfg.beta2)
+    states = {name: nn.adam_init(net.theta, cfg.alpha, cfg.beta1, cfg.beta2)
               for name, net in model.bundles().items()}
     frozen = [p.copy() for p in model.psi_c.params() + model.head_c.params()]
     moving = [p.copy() for p in model.phi.params() + model.psi_t.params()]

@@ -563,10 +563,15 @@ class TestValueChecks:
         assert not (tmp_path / "s").exists()
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
+def test_explain_runs_without_scipy(tmp_path):
     src = Path(__file__).resolve().parents[1] / "src"
+    cfg = write_config(tmp_path)
+    script = ("import sys; sys.modules['scipy'] = None; "
+              "from dtanet.cli import main; sys.exit(main(sys.argv[1:]))")
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, dtanet.cli; print('scipy.stats' in sys.modules)"],
-        capture_output=True, text=True, check=True,
-        env=dict(os.environ, PYTHONPATH=str(src)))
-    assert proc.stdout.strip() == "False"
+        [sys.executable, "-c", script, "explain", "--config", cfg, "--trials", "2",
+         "--exclude", "x1", "--exclude", "x2,x3", "--out", str(tmp_path / "x")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == EXIT_OK, proc.stderr
+    rows = read_rows(tmp_path / "x" / "explain_distances.csv")
+    assert [row[0] for row in rows] == ["exclude", "x1", "x2+x3"]

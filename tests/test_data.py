@@ -382,7 +382,7 @@ def csv_files(draw):
 class TestFastReader:
     """The orjson shortcut gives exactly what csv.reader + float() give."""
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     @settings(max_examples=300, deadline=None)
     @given(content=csv_files())
     def test_agrees_with_exact_path(self, content, tmp_path_factory):
@@ -540,7 +540,7 @@ class TestFastReader:
         with pytest.raises(DataError, match="row 3: field larger than field limit"):
             load_csv(path)
 
-    @pytest.mark.filterwarnings("error")
+    @pytest.mark.filterwarnings("error::RuntimeWarning", "error::UserWarning")
     @pytest.mark.parametrize("body, message", [
         ("", "no data rows"), ("\n", "row 2 has 0 cells"),
         ("\r\n\r\n", "row 2 has 0 cells"), ("0.5,1,2.0\n\n", "row 3 has 0 cells")])

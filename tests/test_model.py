@@ -1,5 +1,9 @@
 """Model architecture, effect estimators, checkpoint round-trip."""
 
+import hashlib
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -205,6 +209,25 @@ class TestCheckpoint:
             other = loaded.bundles()[name]
             for a, b in zip(net.params(), other.params()):
                 np.testing.assert_array_equal(a, b)
+
+    def test_stored_version_one_file_loads_and_scores_the_same_bytes(self, tmp_path):
+        """data/checkpoint_v1.npz was written by `dtanet train` (test_cli's tiny
+        config, seed 0, 3 epochs) while each net still kept separate weight and
+        bias arrays; the digest is of its effect estimates at that time."""
+        path = Path(__file__).parent / "data" / "checkpoint_v1.npz"
+        model, cfg = load_checkpoint(path)
+        assert cfg["seed"] == 0 and cfg["epochs"] == 3
+        X = np.random.default_rng(0).standard_normal((25, 6))
+        est = estimate_effects(model, X, np.arange(25) % 2)
+        scores = (est.ite, est.mte_at_t, est.dte_at_t, est.dte_at_other,
+                  est.pred_t, est.pred_c)
+        assert hashlib.sha256(b"".join(a.tobytes() for a in scores)).hexdigest() == \
+            "2a7ea48401af637affc6ac7242423ad6abe689400822f97e964e0e3b3fc57279"
+        save_checkpoint(tmp_path / "again.npz", model, cfg)
+        with zipfile.ZipFile(path) as old, zipfile.ZipFile(tmp_path / "again.npz") as new:
+            assert old.namelist() == new.namelist()
+            for member in old.namelist():
+                assert old.read(member) == new.read(member), member
 
     def test_predictions_survive_round_trip(self, tmp_path):
         m = small_model(29)

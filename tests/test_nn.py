@@ -132,14 +132,14 @@ class TestDenseNetBits:
             for (h, pre), (ref_h, ref_pre) in zip(tape, ref_tape):
                 assert_same_bits(h, ref_h)
                 assert_same_bits(pre, ref_pre)
-            grads, g_in = net.backward(tape, up)
+            grad, g_in = net.backward(tape, up)
             ref_grads, ref_g_in = reference_backward(net, ref_tape, up)
-            for got, want in zip(grads, ref_grads):
+            for got, want in zip(net.split(grad), ref_grads, strict=True):
                 assert_same_bits(got, want)
             assert_same_bits(g_in, ref_g_in)
             skipped, none = net.backward(tape, up, input_grad=False)
             assert none is None
-            for got, want in zip(skipped, ref_grads):
+            for got, want in zip(net.split(skipped), ref_grads, strict=True):
                 assert_same_bits(got, want)
 
 
@@ -199,9 +199,9 @@ class TestBackward:
         net = nn.init_dense([3, 4, 2], rng)
         X = rng.standard_normal((5, 3))
         _, tape = net.forward(X)
-        grads, g_in = net.backward(tape, np.zeros((5, 2)))
-        for g in grads:
-            assert not np.any(g)
+        grad, g_in = net.backward(tape, np.zeros((5, 2)))
+        assert grad.shape == net.theta.shape
+        assert not np.any(grad)
         assert not np.any(g_in)
 
     def test_linear_layer_closed_form(self):
@@ -209,14 +209,14 @@ class TestBackward:
         x = np.array([[3.0, 4.0]])
         _, tape = net.forward(x)
         up = np.array([[2.0]])
-        grads, g_in = net.backward(tape, up)
+        grad, g_in = net.backward(tape, up)
+        grads = net.split(grad)
         np.testing.assert_allclose(grads[0], up.T @ x)  # outer product
         np.testing.assert_allclose(grads[1], [2.0])
         np.testing.assert_allclose(g_in, [[2.0, 4.0]])
         skipped, none = net.backward(tape, up, input_grad=False)
         assert none is None
-        for a, b in zip(skipped, grads):
-            assert_same_bits(a, b)
+        assert_same_bits(skipped, grad)
 
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -229,7 +229,8 @@ class TestBackward:
             return float(np.sum(out * up))
 
         _, tape = net.forward(X)
-        grads, _ = net.backward(tape, up)
+        grad, _ = net.backward(tape, up)
+        grads = net.split(grad)
         eps = 1e-5
         for pi, p in enumerate(net.params()):
             it = np.nditer(p, flags=["multi_index"])
@@ -252,80 +253,137 @@ class TestBackward:
             net.backward(tape, np.zeros((4, 3)))
 
 
+class TestFlatLayout:
+    """Each net's parameters live in one flat vector, theta."""
+
+    def test_views_share_theta_in_params_order(self):
+        net = nn.init_dense([5, 4, 3, 2], np.random.default_rng(0))
+        for p in net.weights + net.biases + net.params():
+            assert np.shares_memory(p, net.theta)
+        net.theta[:] = np.arange(net.theta.size)
+        np.testing.assert_array_equal(
+            np.concatenate([p.ravel() for p in net.params()]), net.theta)
+        assert [p.shape for p in net.params()] == [(4, 5), (4,), (3, 4), (3,), (2, 3), (2,)]
+        net.biases[1] += 1.0
+        assert net.theta[20 + 4 + 12] == 37.0
+
+    def test_backward_returns_a_fresh_buffer_each_call(self):
+        net = nn.init_dense([3, 4, 2], np.random.default_rng(1))
+        X = np.random.default_rng(2).standard_normal((5, 3))
+        _, tape = net.forward(X)
+        first, _ = net.backward(tape, np.ones((5, 2)))
+        kept = first.copy()
+        second, _ = net.backward(tape, np.ones((5, 2)))
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, net.theta)
+        assert_same_bits(first, kept)
+        assert_same_bits(second, kept)
+
+    def test_constructor_and_copy_copy_their_inputs(self):
+        w, b = np.ones((2, 3)), np.zeros(2)
+        net = nn.DenseNet([w], [b])
+        w += 1.0
+        b += 1.0
+        for p in (net.theta, *net.params()):
+            assert not np.shares_memory(p, w) and not np.shares_memory(p, b)
+        np.testing.assert_array_equal(net.theta, [1.0] * 6 + [0.0] * 2)
+        np.testing.assert_array_equal(net.forward(np.ones((1, 3)))[0], [[3.0, 3.0]])
+        twin = net.copy()
+        assert not np.shares_memory(twin.theta, net.theta)
+        twin.theta += 1.0
+        np.testing.assert_array_equal(net.theta, [1.0] * 6 + [0.0] * 2)
+
+
+def flat(arrays):
+    return np.concatenate([np.ravel(a) for a in arrays])
+
+
 class TestAdam:
     def test_zero_gradient_leaves_params(self):
-        params = [np.array([1.0, 2.0])]
-        state = nn.adam_init(params)
-        nn.adam_step(state, params, [np.zeros(2)])
-        np.testing.assert_array_equal(params[0], [1.0, 2.0])
+        theta = np.array([1.0, 2.0])
+        state = nn.adam_init(theta)
+        nn.adam_step(state, theta, np.zeros(2))
+        np.testing.assert_array_equal(theta, [1.0, 2.0])
         assert state.step == 1
 
     def test_first_step_moves_by_alpha(self):
         # bias correction makes the first update ~ -alpha * sign(g)
-        params = [np.array([0.5])]
-        state = nn.adam_init(params, alpha=0.1)
-        nn.adam_step(state, params, [np.array([3.0])])
-        assert params[0][0] == pytest.approx(0.5 - 0.1, abs=1e-6)
+        theta = np.array([0.5])
+        state = nn.adam_init(theta, alpha=0.1)
+        nn.adam_step(state, theta, np.array([3.0]))
+        assert theta[0] == pytest.approx(0.5 - 0.1, abs=1e-6)
 
     def test_descends_quadratic(self):
-        params = [np.array([1.0])]
-        state = nn.adam_init(params, alpha=0.1)
+        theta = np.array([1.0])
+        state = nn.adam_init(theta, alpha=0.1)
         best = 1.0
         for _ in range(10):
-            g = 2.0 * params[0]
-            nn.adam_step(state, params, [g.copy()])
-            best = min(best, float(params[0][0] ** 2))
+            nn.adam_step(state, theta, 2.0 * theta)
+            best = min(best, float(theta[0] ** 2))
         assert best < 1.0
 
     def test_non_finite_gradient_raises(self):
-        params = [np.array([1.0])]
-        state = nn.adam_init(params)
+        theta = np.array([1.0])
+        state = nn.adam_init(theta)
         with pytest.raises(FloatingPointError):
-            nn.adam_step(state, params, [np.array([np.nan])])
+            nn.adam_step(state, theta, np.array([np.nan]))
+
+    def test_length_mismatch_rejected(self):
+        theta = np.ones(3)
+        state = nn.adam_init(theta)
+        with pytest.raises(ValueError):
+            nn.adam_step(state, theta, np.ones(4))
+        with pytest.raises(ValueError):
+            nn.adam_step(state, np.ones(4), np.ones(4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_moves_nothing(self, bad):
-        # the last parameter of the last block carries the bad entry, so
-        # every other block would already have been updated by a one-pass loop
+        # the last entry of the last slice carries the bad entry, so every
+        # other slice would already have been updated by a one-pass loop
         net = nn.init_dense([100, 200, 200, 1], np.random.default_rng(0))
-        params = net.params()
-        state = nn.adam_init(params)
-        grads = [np.ones_like(p) for p in params]
-        nn.adam_step(state, params, grads)
-        before = [p.copy() for p in params]
+        theta = net.theta
+        state = nn.adam_init(theta)
+        grad = np.ones_like(theta)
+        nn.adam_step(state, theta, grad)
+        before = theta.copy()
         m, v = state.m.copy(), state.v.copy()
-        grads[-1][0] = bad
+        grad[-1] = bad
         with pytest.raises(FloatingPointError):
-            nn.adam_step(state, params, grads)
-        for a, b in zip(before, params):
-            np.testing.assert_array_equal(a, b)
+            nn.adam_step(state, theta, grad)
+        np.testing.assert_array_equal(theta, before)
         np.testing.assert_array_equal(state.m, m)
         np.testing.assert_array_equal(state.v, v)
         assert state.step == 1
 
     def test_accumulators_start_at_zero(self):
-        params = [np.ones((2, 2)), np.ones(3), np.ones((300, 200))]
-        state = nn.adam_init(params)
+        theta = np.ones(4 + 3 + 300 * 200)
+        state = nn.adam_init(theta)
         assert state.step == 0
-        assert state.m.shape == state.v.shape == (sum(p.size for p in params),)
+        assert state.m.shape == state.v.shape == theta.shape
         assert not np.any(state.m)
         assert not np.any(state.v)
 
-    @pytest.mark.parametrize("width", [32, 200])
-    def test_bit_identical_to_per_array_reference(self, width):
-        """Blocked flat updates equal the per-array formula bit for bit."""
-        rng = np.random.default_rng(width)
-        net = nn.init_dense([100, width, width, 1], rng)
+    @pytest.mark.parametrize("dims", [pytest.param([100, 32, 32, 1], id="32"),
+                                      pytest.param([100, 200, 200, 1], id="200"),
+                                      pytest.param([327, 200], id="ragged")])
+    def test_bit_identical_to_per_array_reference(self, dims):
+        """Sliced flat updates equal the per-array formula bit for bit."""
+        rng = np.random.default_rng(dims[1] + len(dims))
+        net = nn.init_dense(dims, rng)
+        if len(dims) == 2:
+            # more than two slices, the last one ragged
+            block = nn._BLOCK_BYTES // 8
+            assert net.theta.size > 2 * block and net.theta.size % block
         params = net.params()
         ref = [p.copy() for p in params]
         alpha, beta1, beta2, eps = 1e-3, 0.8, 0.95, 1e-8
-        state = nn.adam_init(params, alpha, beta1, beta2, eps)
+        state = nn.adam_init(net.theta, alpha, beta1, beta2, eps)
         m = [np.zeros_like(p) for p in ref]
         v = [np.zeros_like(p) for p in ref]
         for t in range(1, 51):
             grads = [rng.standard_normal(p.shape) * 10.0 ** rng.integers(-6, 3)
                      for p in params]
-            nn.adam_step(state, params, grads)
+            nn.adam_step(state, net.theta, flat(grads))
             bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
             for p, g, mk, vk in zip(ref, grads, m, v):
                 mk *= beta1
@@ -335,14 +393,5 @@ class TestAdam:
                 p -= alpha * (mk / bc1) / (np.sqrt(vk / bc2) + eps)
         for got, want in zip(params, ref):
             np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(state.m, np.concatenate([x.ravel() for x in m]))
-        np.testing.assert_array_equal(state.v, np.concatenate([x.ravel() for x in v]))
-
-    def test_small_parameters_share_a_block(self):
-        # blocks hold up to 256 KiB: the 200x100 weight (160 KB) and its bias
-        # fit one; the 200x200 weight (320 KB) is a block alone; the next
-        # bias, the 1x200 weight and the last bias pack into one
-        net = nn.init_dense([100, 200, 200, 1], np.random.default_rng(1))
-        state = nn.adam_init(net.params())
-        spans = [(blk.first, blk.stop) for blk in state.blocks]
-        assert spans == [(0, 2), (2, 3), (3, 6)]
+        np.testing.assert_array_equal(state.m, flat(m))
+        np.testing.assert_array_equal(state.v, flat(v))

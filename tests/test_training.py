@@ -139,7 +139,8 @@ class TestGradientAssembly:
                     lo = frozen_loss()
                     p[ix] = orig
                     fd = (hi - lo) / (2 * eps)
-                    assert grads[name][pi][ix] == pytest.approx(fd, rel=1e-4, abs=1e-8), \
+                    assert net.split(grads[name])[pi][ix] == pytest.approx(
+                        fd, rel=1e-4, abs=1e-8), \
                         f"{name} param {pi} at {ix}"
 
     def test_treated_only_batch_routes_no_control_gradients(self):
@@ -193,7 +194,7 @@ def two_pass_gradients(model, X_t, y_t, X_c, y_c, cfg):
         g_phi, _ = model.phi.backward(s["tape_phi"], dZ)
         grads["head_" + arm] = g_head
         grads["psi_" + arm], _ = s["psi"].backward(s["tape_psi"], dM)
-        phi = g_phi if phi is None else [a + b for a, b in zip(phi, g_phi)]
+        phi = g_phi if phi is None else phi + g_phi
     grads["phi"] = phi
     return grads
 
@@ -214,8 +215,7 @@ class TestStackedPhiPass:
             if name not in want:
                 assert value is None, name
                 continue
-            for a, b in zip(value, want[name]):
-                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+            np.testing.assert_allclose(value, want[name], rtol=0, atol=1e-12, err_msg=name)
 
     def test_five_forward_and_backward_calls(self, monkeypatch):
         calls = {"forward": 0, "backward": 0}
@@ -255,9 +255,8 @@ class TestStackedPhiPass:
             if want[name] is None:
                 assert value is None, name
                 continue
-            for a, b in zip(value, want[name]):
-                np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64),
-                                              err_msg=name)
+            np.testing.assert_array_equal(value.view(np.uint64), want[name].view(np.uint64),
+                                          err_msg=name)
 
 
 class TestTrain:
@@ -313,7 +312,7 @@ class TestTrain:
         cfg = tiny_cfg()
         rng = np.random.default_rng(0)
         model = init_model(ds.d, 2, 2, (2,), (2,), (2,), rng)
-        states = {name: nn.adam_init(net.params()) for name, net in model.bundles().items()}
+        states = {name: nn.adam_init(net.theta) for name, net in model.bundles().items()}
         before_c = [p.copy() for p in model.psi_c.params() + model.head_c.params()]
         treated = np.nonzero(ds.t == 1)[0][:4]
         train_step(model, states, ds.X[treated], ds.y[treated],
