@@ -8,20 +8,19 @@ plot-ready CSV instead.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, astuple, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import metrics, ot
-from .data import DataError, ObservationalDataset, load_csv, split, write_csv
+from .data import DataError, ObservationalDataset, load_csv, split, write_csv, write_rows
 from .model import estimate_effects, load_checkpoint, save_checkpoint
 from .synth import SynthConfig, generate
-from .training import TrainConfig, train, write_trace_csv
+from .training import TraceRecord, TrainConfig, train
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -79,13 +78,6 @@ def _outdir(args) -> Path:
     return out
 
 
-def _write_rows(path, header, rows):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def evaluate_model(model, dataset: ObservationalDataset, idx) -> metrics.MetricsReport:
     """Metrics on a subset; ground-truth metrics only when the dataset has them.
 
@@ -106,7 +98,7 @@ def _train_on(dataset, train_cfg):
     if any(rec.sinkhorn_residual > train_cfg.sinkhorn_tol for rec in trace):
         print("warning: Sinkhorn hit max_iter before the marginal tolerance "
               "in at least one batch", file=sys.stderr)
-    return model, trace, parts
+    return model, trace
 
 
 def cmd_generate(args) -> int:
@@ -123,10 +115,11 @@ def cmd_train(args) -> int:
     _, train_cfg = _configs(args)
     dataset = load_csv(args.data)
     out = _outdir(args)
-    model, trace, _ = _train_on(dataset, train_cfg)
+    model, trace = _train_on(dataset, train_cfg)
     ckpt = out / "checkpoint.npz"
-    save_checkpoint(ckpt, model, train_cfg.to_dict())
-    write_trace_csv(out / "trace.csv", trace)
+    save_checkpoint(ckpt, model, asdict(train_cfg))
+    write_rows(out / "trace.csv", [f.name for f in fields(TraceRecord)],
+               map(astuple, trace))
     print(f"wrote {ckpt} and {out / 'trace.csv'}")
     return EXIT_OK
 
@@ -143,9 +136,9 @@ def cmd_evaluate(args) -> int:
     for scope, idx in (("in_sample", parts.validation), ("out_of_sample", parts.test)):
         if len(idx) == 0:
             continue
-        rows.append([scope] + evaluate_model(model, dataset, idx).csv_row())
+        rows.append([scope, *astuple(evaluate_model(model, dataset, idx))])
     path = out / "metrics.csv"
-    _write_rows(path, ["scope", *metrics.MetricsReport.FIELDS], rows)
+    write_rows(path, ["scope", *(f.name for f in fields(metrics.MetricsReport))], rows)
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -164,6 +157,8 @@ def _parse_grid(spec: str):
 
 def cmd_gridsearch(args) -> int:
     _, train_cfg = _configs(args)
+    if train_cfg.epochs < 1:
+        raise UsageError("gridsearch needs epochs >= 1 to score each cell")
     dataset = load_csv(args.data)
     out = _outdir(args)
     l1_values, l2_values = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
@@ -173,14 +168,14 @@ def cmd_gridsearch(args) -> int:
         for lam2 in l2_values:
             cell = replace(train_cfg, lambda1=lam1, lambda2=lam2)
             try:
-                _, trace, _ = _train_on(dataset, cell)
+                _, trace = _train_on(dataset, cell)
                 val = min(rec.val_l_y for rec in trace)
-                rows.append([repr(lam1), repr(lam2), repr(val), "ok"])
+                rows.append([lam1, lam2, val, "ok"])
                 if best is None or val < best[0]:
                     best = (val, lam1, lam2)
             except FloatingPointError as exc:
-                rows.append([repr(lam1), repr(lam2), "", f"error: {exc}"])
-    _write_rows(out / "grid.csv", ["lambda1", "lambda2", "val_l_y", "status"], rows)
+                rows.append([lam1, lam2, None, f"error: {exc}"])
+    write_rows(out / "grid.csv", ["lambda1", "lambda2", "val_l_y", "status"], rows)
     if best is None:
         print("every grid cell failed", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -200,14 +195,14 @@ def _effect_samples(label, datasets, train_cfg, rows):
     for trial, dataset in enumerate(datasets):
         cfg = replace(train_cfg, seed=train_cfg.seed + trial)
         try:
-            model, _, _ = _train_on(dataset, cfg)
+            model, _ = _train_on(dataset, cfg)
         except FloatingPointError as exc:
-            rows.append([label, trial, "", "", f"error: {exc}"])
+            rows.append([label, trial, None, None, f"error: {exc}"])
             continue
         est = estimate_effects(model, dataset.X, dataset.t)
         ame_list.append(est.ame)
         ade_list.append(est.ade)
-        rows.append([label, trial, repr(est.ame), repr(est.ade), "ok"])
+        rows.append([label, trial, est.ame, est.ade, "ok"])
     return ame_list, ade_list
 
 
@@ -236,8 +231,8 @@ def cmd_explain(args) -> int:
         samples[label] = _effect_samples(
             label, (dataset_for(trial, drop) for trial in range(args.trials)),
             train_cfg, sample_rows)
-    _write_rows(out / "explain_samples.csv",
-                ["exclude", "trial", "ame", "ade", "status"], sample_rows)
+    write_rows(out / "explain_samples.csv",
+               ["exclude", "trial", "ame", "ade", "status"], sample_rows)
 
     base_ame, base_ade = samples["baseline"]
     dist_rows = []
@@ -246,11 +241,10 @@ def cmd_explain(args) -> int:
             continue
         w_med = ot.wasserstein_1d(base_ame, ame_list)
         w_dir = ot.wasserstein_1d(base_ade, ade_list)
-        dist_rows.append([label, repr(w_med), repr(w_dir),
-                          repr(w_med * 1e3), repr(w_dir * 1e3)])
-    _write_rows(out / "explain_distances.csv",
-                ["exclude", "w1_mediate", "w1_direct",
-                 "w1_mediate_x1000", "w1_direct_x1000"], dist_rows)
+        dist_rows.append([label, w_med, w_dir, w_med * 1e3, w_dir * 1e3])
+    write_rows(out / "explain_distances.csv",
+               ["exclude", "w1_mediate", "w1_direct",
+                "w1_mediate_x1000", "w1_direct_x1000"], dist_rows)
     print(f"wrote {out / 'explain_samples.csv'} and {out / 'explain_distances.csv'}")
     return EXIT_OK
 
@@ -274,20 +268,17 @@ def cmd_sensitivity(args) -> int:
     sample_rows, summary_rows = [], []
     for rho in rhos:
         true_ames = []
-        ame_list, ade_list = _effect_samples(repr(rho), draws(rho, true_ames),
+        ame_list, ade_list = _effect_samples(rho, draws(rho, true_ames),
                                              train_cfg, sample_rows)
-        true_ame = true_ames[-1] if true_ames else None
-        cells = [""] * 6
-        if ame_list:
-            cells = [repr(float(f(v))) for f, v in (
-                (np.mean, ame_list), (np.std, ame_list), (np.min, ame_list),
-                (np.max, ame_list), (np.mean, ade_list), (np.std, ade_list))]
-        summary_rows.append([repr(rho), repr(true_ame), *cells, len(ame_list)])
-    _write_rows(out / "sensitivity_samples.csv",
-                ["rho", "trial", "ame", "ade", "status"], sample_rows)
-    _write_rows(out / "sensitivity.csv",
-                ["rho", "true_ame", "ame_mean", "ame_std", "ame_min", "ame_max",
-                 "ade_mean", "ade_std", "n_trials"], summary_rows)
+        stats = ((np.mean, ame_list), (np.std, ame_list), (np.min, ame_list),
+                 (np.max, ame_list), (np.mean, ade_list), (np.std, ade_list))
+        cells = [f(v) if ame_list else None for f, v in stats]
+        summary_rows.append([rho, true_ames[-1], *cells, len(ame_list)])
+    write_rows(out / "sensitivity_samples.csv",
+               ["rho", "trial", "ame", "ade", "status"], sample_rows)
+    write_rows(out / "sensitivity.csv",
+               ["rho", "true_ame", "ame_mean", "ame_std", "ame_min", "ame_max",
+                "ade_mean", "ade_std", "n_trials"], summary_rows)
     print(f"wrote {out / 'sensitivity.csv'}")
     return EXIT_OK
 

@@ -1,5 +1,8 @@
 """Dataset model, CSV ingestion/emission, deterministic splits, batch sampling.
 
+Every CSV the command line writes is written here: datasets by write_csv and
+every other table by write_rows (a float is its repr, None an empty cell).
+
 CSV contract: comma-separated, UTF-8, mandatory header with covariate columns
 x1..xd, a binary "t" column and a real "y" column; the four ground-truth
 columns gt_y0, gt_y1, gt_m0, gt_m1 are optional but must appear together.
@@ -15,7 +18,9 @@ float() keeps); every CR comes before an LF; no line is longer than csv's
 field limit; orjson raises nothing; and every physical line is one row of the
 header's width. Every other file, and every error message, comes from the
 csv.reader path. Cells float() accepts but JSON does not (+.5, 1., .5, 01)
-take that path too.
+take that path too. It reads with errors="surrogateescape", so one pass
+names the first row that is not UTF-8 or does not parse; non-finite cells
+and non-binary treatments are reported after that.
 
 write_csv formats a row's floats with orjson's shortest round-trip formatter
 only where every one of them is 0 or has a magnitude in [1e-4, 1e16): there
@@ -28,8 +33,10 @@ from __future__ import annotations
 
 import array
 import csv
+import numbers
 import re
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import orjson
@@ -39,6 +46,16 @@ GT_COLUMNS = ("gt_y0", "gt_y1", "gt_m0", "gt_m1")
 
 class DataError(ValueError):
     """Structured ingestion failure, naming the offending row/column."""
+
+
+def check_config(cfg):
+    """Raise ValueError where a config dataclass's int field holds no integer
+    or a float field no finite number (an integer will do)."""
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
+        if kind and not (isinstance(v, kind) and abs(v) <= sys.float_info.max):
+            raise ValueError(f"{f.name} must be a finite {f.type}, got {v!r}")
 
 
 @dataclass
@@ -177,27 +194,49 @@ def write_csv(path, dataset: ObservationalDataset):
         fh.writelines(lines())
 
 
+def write_rows(path, header, rows):
+    """Write a table: the header, then rows of plain Python or NumPy cells."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([header, *rows])
+
+
+def _check_utf8(path, i, row):
+    """Raise DataError if row i held bytes that are not UTF-8 (now surrogates)."""
+    try:
+        "".join(row).encode("utf-8")
+    except UnicodeEncodeError:
+        raise DataError(f"{path}: row {i} is not UTF-8 text") from None
+
+
 def _parse_rows(path, reader, header) -> np.ndarray:
     """Every remaining row of reader as one (n, len(header)) float64 array.
 
     Cells are parsed with float(); rows stream into one growing float64
-    buffer, so no row is kept as strings. The first ragged row or
-    non-numeric cell raises DataError naming its row (the header is row 1).
+    buffer, so no row is kept as strings. The first row that is not UTF-8,
+    that csv.reader cannot split, that is ragged or that holds a non-numeric
+    cell raises DataError naming it (the header is row 1). A row that parses
+    holds no surrogate, which float() rejects, so only failed rows are checked.
     """
     width = len(header)
     buf = array.array("d")
-    for i, row in enumerate(reader, start=2):
-        if len(row) != width:
-            raise DataError(f"{path}: row {i} has {len(row)} cells, expected {width}")
-        try:
-            buf.extend(map(float, row))
-        except ValueError:
-            for c, cell in zip(header, row):
-                try:
-                    float(cell)
-                except ValueError:
-                    raise DataError(f"{path}: row {i}, column '{c}': "
-                                    f"non-numeric cell {cell!r}") from None
+    i = 1
+    try:
+        for i, row in enumerate(reader, start=2):
+            if len(row) != width:
+                _check_utf8(path, i, row)
+                raise DataError(f"{path}: row {i} has {len(row)} cells, expected {width}")
+            try:
+                buf.extend(map(float, row))
+            except ValueError:
+                _check_utf8(path, i, row)
+                for c, cell in zip(header, row):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataError(f"{path}: row {i}, column '{c}': "
+                                        f"non-numeric cell {cell!r}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path}: row {i + 1}: {exc}") from None
     if not buf:
         raise DataError(f"{path}: no data rows")
     return np.frombuffer(buf).reshape(-1, width)
@@ -275,38 +314,16 @@ def _fast_rows(path, header_lines: int, width: int) -> np.ndarray | None:
     return np.frombuffer(buf).reshape(-1, width) if buf else None
 
 
-def _unreadable_row(path) -> str:
-    """Why path cannot be read as UTF-8 CSV, naming the first bad row.
-
-    Reads the file again with undecodable bytes escaped, so the row is
-    found exactly even when the decoder failed a chunk ahead of the parser.
-    """
-    i = 0
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
-        try:
-            for i, row in enumerate(csv.reader(fh), start=1):
-                "".join(row).encode("utf-8")
-        except UnicodeEncodeError:
-            return f"{path}: row {i} is not UTF-8 text"
-        except csv.Error as exc:
-            return f"{path}: row {i + 1}: {exc}"
-    return f"{path}: not a UTF-8 CSV file"
-
-
 def load_csv(path) -> ObservationalDataset:
-    try:
-        return _load_csv(path)
-    except (UnicodeDecodeError, csv.Error):
-        raise DataError(_unreadable_row(path)) from None
-
-
-def _load_csv(path) -> ObservationalDataset:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: row 1: {exc}") from None
+        _check_utf8(path, 1, header)
         for j, c in enumerate(header):
             if c in header[:j]:
                 raise DataError(f"{path}: duplicate column name '{c}' in the header")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, astuple
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,11 +18,6 @@ class MetricsReport:
     eps_mte: float | None = None
     eps_dte: float | None = None
     policy_risk: float | None = None
-
-    FIELDS = ("sqrt_pehe", "eps_ate", "eps_att", "eps_mte", "eps_dte", "policy_risk")
-
-    def csv_row(self) -> list:
-        return ["" if v is None else repr(v) for v in astuple(self)]
 
 
 def pehe(est_ite, true_ite) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import ObservationalDataset
+from .data import ObservationalDataset, check_config
 
 _BASIS = {
     1: lambda x: -2.0 * np.sin(2.0 * x),
@@ -53,12 +53,15 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_config(self)
         if self.n < 2:
             raise ValueError("need n >= 2")
         if self.d < 5:
             raise ValueError("need d >= 5 (first five covariates drive confounding)")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("rho must lie in [-1, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
 
 
 @dataclass

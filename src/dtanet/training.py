@@ -15,15 +15,16 @@ receives all three loss terms.
 
 from __future__ import annotations
 
-import csv
 import math
+import numbers
 import time
-from dataclasses import dataclass, asdict, astuple, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import nn, ot
-from .data import DataError, ObservationalDataset, arm_pools, sample_arm_batch
+from .data import (DataError, ObservationalDataset, arm_pools, check_config,
+                   sample_arm_batch)
 from .model import BUNDLES, DtanetModel, init_model, predict_outcomes
 
 
@@ -51,25 +52,24 @@ class TrainConfig:
     head_hidden: tuple = (200, 200)
 
     def __post_init__(self):
+        check_config(self)
         if not 0.0 < self.lambda0 < 1.0:
             raise ValueError("lambda0 must lie in (0, 1)")
         if self.lambda1 < 0 or self.lambda2 < 0:
             raise ValueError("lambda1 and lambda2 must be nonnegative")
-        if self.lambda3 <= 0:
-            raise ValueError("lambda3 must be positive")
-        if self.batch_size_t < 1 or self.batch_size_c < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be nonnegative")
-        self.phi_hidden = tuple(self.phi_hidden)
-        self.psi_hidden = tuple(self.psi_hidden)
-        self.head_hidden = tuple(self.head_hidden)
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        for key in ("phi_hidden", "psi_hidden", "head_hidden"):
-            out[key] = list(out[key])
-        return out
+        if self.lambda3 <= 0 or self.alpha <= 0 or self.sinkhorn_tol <= 0:
+            raise ValueError("lambda3, alpha and sinkhorn_tol must be positive")
+        if min(self.batch_size_t, self.batch_size_c, self.sinkhorn_max_iter) < 1:
+            raise ValueError("batch sizes and sinkhorn_max_iter must be >= 1")
+        if min(self.epochs, self.seed, self.rep_dim, self.med_dim) < 0:
+            raise ValueError("epochs, seed, rep_dim and med_dim must be nonnegative")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must lie in [0, 1)")
+        for name in ("phi_hidden", "psi_hidden", "head_hidden"):
+            widths = tuple(getattr(self, name))
+            if not all(isinstance(w, numbers.Integral) and w >= 1 for w in widths):
+                raise ValueError(f"{name} widths must be integers >= 1, got {widths}")
+            setattr(self, name, widths)
 
 
 @dataclass
@@ -84,14 +84,6 @@ class TraceRecord:
     sinkhorn_residual: float
     val_l_y: float = math.nan
     seconds: float = 0.0
-
-
-def write_trace_csv(path, trace):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f.name for f in fields(TraceRecord)])
-        for rec in trace:
-            writer.writerow([repr(v) for v in astuple(rec)])
 
 
 def loss_outcome(pred_t, y_t, pred_c, y_c, lambda0: float) -> float:

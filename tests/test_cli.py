@@ -537,6 +537,51 @@ class TestDivergence:
 
 
 class TestValueChecks:
+    @pytest.mark.parametrize("command, extra, argv", [
+        ("train", {"batch_size_t": 1.5}, []),
+        ("train", {"epochs": 2.5}, []),
+        ("train", {"phi_hidden": [-3]}, []),
+        ("train", {"seed": -1}, []),
+        ("train", {}, ["--seed", "-1"]),
+        ("train", {"sinkhorn_max_iter": 0}, []),
+        ("train", {"sinkhorn_tol": 0}, []),
+        ("train", {"alpha": "x"}, []),
+        ("train", {"beta1": 1.0}, []),
+        ("generate", {"n": 60.5}, []),
+        ("generate", {"d": 6.5}, []),
+        ("generate", {"seed": -2}, []),
+        ("generate", {"a": "x"}, []),
+    ])
+    def test_invalid_config_value(self, workspace, tmp_path, capsys, command, extra, argv):
+        _, _, data, _ = workspace
+        cfg = write_config(tmp_path, extra)
+        args = [command, "--config", cfg, "--out", str(tmp_path / "out"), *argv]
+        if command == "train":
+            args += ["--data", data]
+        capsys.readouterr()
+        assert main(args) == EXIT_USAGE
+        assert only_error_line(capsys).startswith("error: invalid config: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [{"med_dim": 0, "lambda1": 0}, {"rep_dim": 0},
+                                       {"alpha": 1, "beta1": 0, "lambda2": 0}])
+    def test_boundary_config_values_train(self, workspace, tmp_path, extra):
+        _, _, data, _ = workspace
+        cfg = write_config(tmp_path, {**extra, "epochs": 1})
+        assert main(["train", "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+
+    def test_gridsearch_needs_an_epoch(self, workspace, tmp_path, capsys):
+        _, _, data, _ = workspace
+        cfg = write_config(tmp_path, {"epochs": 0})
+        capsys.readouterr()
+        code = main(["gridsearch", "--config", cfg, "--data", data,
+                     "--out", str(tmp_path / "grid"), "--grid", "0.1x0.3"])
+        assert code == EXIT_USAGE
+        line = only_error_line(capsys)
+        assert line.startswith("error: ") and "epochs" in line
+        assert not (tmp_path / "grid").exists()
+
     def test_negative_grid_value(self, workspace, tmp_path, capsys):
         _, cfg, data, _ = workspace
         capsys.readouterr()

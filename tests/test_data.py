@@ -2,6 +2,7 @@
 
 import csv
 import decimal
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from dtanet import data
 from dtanet.data import (GT_COLUMNS, DataError, ObservationalDataset, arm_pools,
-                         load_csv, sample_arm_batch, split, write_csv)
+                         load_csv, sample_arm_batch, split, write_csv, write_rows)
 from dtanet.synth import SynthConfig, generate
 
 finite = st.floats(allow_nan=False, allow_infinity=False, width=64)
@@ -233,11 +234,30 @@ class TestCsv:
         with pytest.raises(DataError, match=f"row {row} is not UTF-8"):
             load_csv(path)
 
+    @pytest.mark.parametrize("bad, message", [
+        (b"0.5,1", "row 3 has 2 cells, expected 3"),
+        (b"0.5,1,oops", "row 3, column 'y': non-numeric cell 'oops'"),
+        (b"0.5\xff,1", "row 3 is not UTF-8 text")])
+    def test_first_bad_row_is_named(self, tmp_path, bad, message):
+        # both bad rows lie in the decoder's first chunk, so a strict decoder
+        # fails on the later one before the parser reaches the earlier one
+        lines = [b"x1,t,y", b"0.5,1,2.0", bad] + [b"0.5,0,1.0"] * 5 + [b"0.5,\xff,3.0"]
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(DataError, match=message):
+            load_csv(path)
+
     def test_cell_past_field_limit_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(f"x1,t,y\n0.5,1,2.0\n\"0.5\n\",0,1.0\n"
                         f"{'1' * (csv.field_size_limit() + 1)},1,3.0\n")
         with pytest.raises(DataError, match="row 4: field larger than field limit"):
+            load_csv(path)
+
+    def test_header_past_field_limit_names_row_1(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{'x' * (csv.field_size_limit() + 1)},t,y\n0.5,1,2.0\n")
+        with pytest.raises(DataError, match="row 1: field larger than field limit"):
             load_csv(path)
 
     def test_ragged_row(self, tmp_path):
@@ -704,6 +724,21 @@ class TestFastWriter:
         with pytest.raises(DataError, match="at least one covariate column"):
             ObservationalDataset(X=np.empty((n, 0)), t=np.arange(n) % 2,
                                  y=np.linspace(0.5, 2.5, n))
+
+
+class TestWriteRows:
+    def test_cells_are_written_as_repr_and_empty(self, tmp_path):
+        cells = [0.1, np.float64(1e-05), math.nan, np.float64(1e16), None, 3,
+                 np.int64(7), 'a,"b"', -0.0]
+        write_rows(tmp_path / "t.csv", [f"c{k}" for k in range(len(cells))], [cells])
+        # what the per-cell formatting write_rows replaced gave
+        old = ["" if v is None else v if isinstance(v, (str, int, np.integer))
+               else repr(float(v)) for v in cells]
+        with open(tmp_path / "old.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([[f"c{k}" for k in range(len(cells))], old])
+        text = (tmp_path / "t.csv").read_bytes()
+        assert text == (tmp_path / "old.csv").read_bytes()
+        assert text.endswith(b'\r\n0.1,1e-05,nan,1e+16,,3,7,"a,""b""",-0.0\r\n')
 
 
 class TestSplit:

@@ -1,11 +1,12 @@
 """Evaluation metrics: PEHE, population-effect errors, policy risk."""
 
-from dataclasses import fields
+from dataclasses import astuple, fields
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dtanet.data import write_rows
 from dtanet.metrics import MetricsReport, effect_report, pehe, policy_risk
 from dtanet.model import EffectEstimates
 from dtanet.synth import SynthConfig, generate
@@ -142,18 +143,23 @@ class TestPolicyRisk:
             policy_risk([1.0], [1.0, 2.0])
 
 
-class TestMetricsReport:
-    def test_none_fields_serialize_empty(self):
-        rep = MetricsReport(sqrt_pehe=1.5, policy_risk=0.25)
-        row = rep.csv_row()
-        assert row[0] == repr(1.5)
-        assert row[1] == row[2] == row[3] == row[4] == ""
-        assert row[5] == repr(0.25)
+def metrics_row_text(tmp_path, report):
+    """The data line write_rows gives a report's cells, as metrics.csv holds them."""
+    write_rows(tmp_path / "m.csv", [f.name for f in fields(MetricsReport)],
+               [astuple(report)])
+    return (tmp_path / "m.csv").read_text().splitlines()[1]
 
-    def test_csv_row_follows_field_order(self):
+
+class TestMetricsReport:
+    def test_none_fields_serialize_empty(self, tmp_path):
+        rep = MetricsReport(sqrt_pehe=1.5, policy_risk=0.25)
+        assert metrics_row_text(tmp_path, rep) == f"{1.5!r},,,,,{0.25!r}"
+
+    def test_csv_row_follows_field_order(self, tmp_path):
         rep = MetricsReport(*[float(k) for k in range(6)])
-        assert rep.csv_row() == [repr(float(k)) for k in range(6)]
+        assert metrics_row_text(tmp_path, rep) == ",".join(repr(float(k)) for k in range(6))
 
     def test_fields_follow_dataclass_order(self):
-        # csv_row writes values in dataclass order under the FIELDS header
-        assert tuple(f.name for f in fields(MetricsReport)) == MetricsReport.FIELDS
+        # metrics.csv's header is the dataclass fields, in this order
+        assert tuple(f.name for f in fields(MetricsReport)) == (
+            "sqrt_pehe", "eps_ate", "eps_att", "eps_mte", "eps_dte", "policy_risk")

@@ -1,6 +1,7 @@
 """Losses, total objective, gradient assembly, and the training loop."""
 
 import math
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 import pytest
@@ -8,10 +9,9 @@ import pytest
 from dtanet import nn, ot
 from dtanet.model import init_model
 from dtanet.synth import SynthConfig, generate
-from dtanet.data import DataError
+from dtanet.data import DataError, write_rows
 from dtanet.training import (TraceRecord, TrainConfig, compute_gradients,
-                             loss_orthogonal, loss_outcome, train,
-                             train_step, write_trace_csv)
+                             loss_orthogonal, loss_outcome, train, train_step)
 
 TINY = dict(rep_dim=2, med_dim=2, phi_hidden=(2,), psi_hidden=(2,), head_hidden=(2,))
 
@@ -286,7 +286,7 @@ class TestTrain:
         rec = TraceRecord(epoch=2, l_y=0.5, l_sim=0.25, l_balan=1e-3, total=0.1,
                           sinkhorn_residual=3e-7, val_l_y=math.nan, seconds=0.75)
         path = tmp_path / "trace.csv"
-        write_trace_csv(path, [rec])
+        write_rows(path, [f.name for f in fields(TraceRecord)], [astuple(rec)])
         assert path.read_text().splitlines() == [
             "epoch,l_y,l_sim,l_balan,total,sinkhorn_residual,val_l_y,seconds",
             "2,0.5,0.25,0.001,0.1,3e-07,nan,0.75"]
@@ -368,6 +368,6 @@ class TestTrain:
             den = ((np.linalg.norm(M_t) + np.linalg.norm(M_c)) * np.linalg.norm(Z))
             return num / den
 
-        init_m, _ = train(ds, TrainConfig(**{**cfg.to_dict(), "epochs": 0}))
+        init_m, _ = train(ds, replace(cfg, epochs=0))
         final_m, _ = train(ds, cfg)
         assert overlap(final_m) < overlap(init_m)
