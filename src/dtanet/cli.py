@@ -59,13 +59,12 @@ def load_config(path) -> tuple[dict, dict]:
     return synth_cfg, train_cfg
 
 
-def _configs(args) -> tuple[SynthConfig, TrainConfig]:
-    synth_kwargs, train_kwargs = ({}, {})
-    if args.config:
-        synth_kwargs, train_kwargs = load_config(args.config)
-    if getattr(args, "seed", None) is not None:
-        synth_kwargs["seed"] = args.seed
-        train_kwargs["seed"] = args.seed
+def _configs(args, seed=None) -> tuple[SynthConfig, TrainConfig]:
+    """The configs of --config, seeded by --seed, else by the file, else by seed."""
+    synth_kwargs, train_kwargs = load_config(args.config) if args.config else ({}, {})
+    seed = train_kwargs.get("seed", seed) if args.seed is None else args.seed
+    if seed is not None:
+        synth_kwargs["seed"] = train_kwargs["seed"] = seed
     try:
         return SynthConfig(**synth_kwargs), TrainConfig(**train_kwargs)
     except (TypeError, ValueError) as exc:
@@ -125,13 +124,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    _, train_cfg = _configs(args)
+    model, stored_cfg = load_checkpoint(args.checkpoint)
+    # split as in training unless --seed or the config file names a seed
+    _, train_cfg = _configs(args, stored_cfg.get("seed"))
     dataset = load_csv(args.data)
     out = _outdir(args)
-    model, stored_cfg = load_checkpoint(args.checkpoint)
-    seed = train_cfg.seed if args.config or args.seed is not None \
-        else int(stored_cfg.get("seed", train_cfg.seed))
-    parts = split(dataset.n, seed)
+    parts = split(dataset.n, train_cfg.seed)
     rows = []
     for scope, idx in (("in_sample", parts.validation), ("out_of_sample", parts.test)):
         if len(idx) == 0:
@@ -160,6 +158,8 @@ def cmd_gridsearch(args) -> int:
     if train_cfg.epochs < 1:
         raise UsageError("gridsearch needs epochs >= 1 to score each cell")
     dataset = load_csv(args.data)
+    if len(split(dataset.n, train_cfg.seed).validation) == 0:
+        raise DataError(f"gridsearch needs 6 rows for a validation row, got {dataset.n}")
     out = _outdir(args)
     l1_values, l2_values = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
     rows = []
@@ -212,12 +212,17 @@ def cmd_explain(args) -> int:
     synth_cfg, train_cfg = _configs(args)
     out = _outdir(args)
     source = load_csv(args.data) if args.data else None
-    if args.exclude:
-        groups = [tuple(g.split(",")) for g in args.exclude]
-    else:
-        names = source.covariate_names if source is not None \
-            else [f"x{j + 1}" for j in range(synth_cfg.d)]
-        groups = [(name,) for name in names]
+    first = source if source is not None else generate(synth_cfg)[0]
+    groups = [tuple(g.split(",")) for g in args.exclude] if args.exclude \
+        else [(name,) for name in first.covariate_names]
+    runs = [("baseline", ())] + [("+".join(g), g) for g in groups]
+    labels = [label for label, _ in runs]
+    for k, label in enumerate(labels):
+        if label in labels[:k]:
+            raise UsageError(f"exclusion group {label!r} is named twice "
+                             "(the baseline is labelled 'baseline')")
+    for group in groups:
+        first.drop_covariates(group)  # raises DataError for an unknown name
 
     def dataset_for(trial, drop):
         if source is not None:
@@ -227,7 +232,7 @@ def cmd_explain(args) -> int:
         return ds.drop_covariates(drop) if drop else ds
 
     sample_rows, samples = [], {}
-    for label, drop in [("baseline", ())] + [("+".join(g), g) for g in groups]:
+    for label, drop in runs:
         samples[label] = _effect_samples(
             label, (dataset_for(trial, drop) for trial in range(args.trials)),
             train_cfg, sample_rows)
@@ -262,7 +267,7 @@ def cmd_sensitivity(args) -> int:
         for trial in range(args.trials):
             cfg = replace(synth_cfg, rho=rho, seed=synth_cfg.seed + trial)
             dataset, truth = generate(cfg)
-            true_ames.append(truth.ame(dataset.t))
+            true_ames.append(truth.effects(dataset.t).ame)
             yield dataset
 
     sample_rows, summary_rows = [], []

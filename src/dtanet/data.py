@@ -49,10 +49,12 @@ class DataError(ValueError):
 
 
 def check_config(cfg):
-    """Raise ValueError where a config dataclass's int field holds no integer
-    or a float field no finite number (an integer will do)."""
+    """Store NumPy scalars as Python numbers; raise ValueError where an int
+    field holds no integer or a float field no finite number (an int will do)."""
     for f in fields(cfg):
         v = getattr(cfg, f.name)
+        if isinstance(v, np.generic):
+            setattr(cfg, f.name, v := v.item())
         kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
         if kind and not (isinstance(v, kind) and abs(v) <= sys.float_info.max):
             raise ValueError(f"{f.name} must be a finite {f.type}, got {v!r}")
@@ -77,6 +79,8 @@ class ObservationalDataset:
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
+        if not np.all(np.isin(self.t, (0, 1))):
+            raise DataError("treatment t must be strictly binary")
         self.t = np.asarray(self.t, dtype=int)
         self.y = np.asarray(self.y, dtype=float)
         n = self.X.shape[0]
@@ -86,8 +90,6 @@ class ObservationalDataset:
             raise DataError("dataset must have at least one covariate column")
         if self.t.shape != (n,) or self.y.shape != (n,):
             raise DataError("t and y must align with X rows")
-        if not np.all(np.isin(self.t, (0, 1))):
-            raise DataError("treatment t must be strictly binary")
         gt = [self.gt_y0, self.gt_y1, self.gt_m0, self.gt_m1]
         if any(g is not None for g in gt) and any(g is None for g in gt):
             raise DataError("ground-truth columns must all be present or all absent")

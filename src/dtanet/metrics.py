@@ -36,26 +36,27 @@ def effect_report(est, t, true_ite=None, truth=None) -> MetricsReport:
     """Every metric an EffectEstimates bundle supports against the truth given.
 
     t is the factual treatment vector (it defines ATT and the conditioning of
-    MTE/DTE). true_ite, or a GroundTruth's own ite(), sets root PEHE and the
-    ATE/ATT errors (ATT stays None without treated rows); a GroundTruth also
-    sets the MTE/DTE errors. Policy risk needs the factual predictions
+    MTE/DTE). true_ite, or the ite of a GroundTruth's effects(t), sets root
+    PEHE and the ATE/ATT errors (ATT stays None without treated rows); a
+    GroundTruth also sets the MTE/DTE errors. Policy risk needs the factual predictions
     est.pred_t and est.pred_c.
     """
     t = np.asarray(t)
     report = MetricsReport()
     if est.pred_t is not None:
         report.policy_risk = policy_risk(est.pred_t, est.pred_c)
-    if true_ite is None and truth is not None:
-        true_ite = truth.ite()
+    true = truth.effects(t) if truth is not None else None
+    if true_ite is None and true is not None:
+        true_ite = true.ite
     if true_ite is not None:
         report.sqrt_pehe = math.sqrt(pehe(est.ite, true_ite))
         report.eps_ate = abs(est.ate - float(np.mean(true_ite)))
         treated = t == 1
         if np.any(treated):
             report.eps_att = abs(est.att - float(np.mean(true_ite[treated])))
-    if truth is not None:
-        report.eps_mte = abs(est.ame - truth.ame(t))
-        report.eps_dte = abs(est.ade - truth.ade(t))
+    if true is not None:
+        report.eps_mte = abs(est.ame - true.ame)
+        report.eps_dte = abs(est.ade - true.ade)
     return report
 
 

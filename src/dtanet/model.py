@@ -5,6 +5,8 @@ treatment-specific mediator representation nets (psi_t, psi_c), and two
 outcome heads (head_t, head_c). Heads consume the concatenation of the
 confounding representation with one mediator representation; swapping the
 mediator arm fed to a fixed head realizes the counterfactual mediator.
+decompose_effects splits an effect into its mediated and direct parts, for
+the heads' predictions and for the generator's potential outcomes alike.
 """
 
 from __future__ import annotations
@@ -79,8 +81,8 @@ class EffectEstimates:
     att: float
     ame: float
     ade: float
-    pred_t: np.ndarray | None = None   # y_hat(treated head, treated mediator)
-    pred_c: np.ndarray | None = None   # y_hat(control head, control mediator)
+    pred_t: np.ndarray | None = None   # y(1, m(1)): treated head, treated mediator
+    pred_c: np.ndarray | None = None   # y(0, m(0)): control head, control mediator
 
 
 def init_model(d, rep_dim, med_dim, phi_hidden, psi_hidden, head_hidden,
@@ -126,13 +128,12 @@ def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
 
 
 def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
-    """Effect estimates for every individual, conditioning on factual status t.
+    """Effect estimates at factual status t: decompose_effects of each head's
+    prediction with each arm's mediator representation.
 
-    ite = y_hat(treated head, treated mediator) - y_hat(control head, control
-    mediator); mte swaps the mediator arm under the factual head; dte swaps
-    the head while holding the mediator arm fixed. The three representation
-    nets run once and each head twice, on the same inputs predict_outcomes
-    gives them, so every prediction equals predict_outcomes' bit for bit.
+    The three representation nets run once and each head twice, on the same
+    inputs predict_outcomes gives them, so every prediction equals
+    predict_outcomes' bit for bit.
     """
     t = np.asarray(t)
     X = np.asarray(X, dtype=float)
@@ -142,21 +143,26 @@ def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
     H_t, H_c = np.hstack([Z, M_t]), np.hstack([Z, M_c])
     yt_mt, yt_mc = (model.head_t.forward(H)[0][:, 0] for H in (H_t, H_c))
     yc_mt, yc_mc = (model.head_c.forward(H)[0][:, 0] for H in (H_t, H_c))
+    return decompose_effects(yt_mt, yt_mc, yc_mt, yc_mc, t)
 
-    treated = t == 1
-    ite = yt_mt - yc_mc
-    mte_at_t = np.where(treated, yt_mt - yt_mc, yc_mt - yc_mc)
-    dte_at_t = np.where(treated, yt_mt - yc_mt, yt_mc - yc_mc)
-    dte_at_other = np.where(treated, yt_mc - yc_mc, yt_mt - yc_mt)
 
-    att = float(np.mean(ite[treated])) if np.any(treated) else float("nan")
+def decompose_effects(y1_m1, y1_m0, y0_m1, y0_m0, t) -> EffectEstimates:
+    """Effects at factual status t (length n, or 1 for every row) from the
+    four outcomes y1_m0 = y(1, m(0)) and so on: ite = y(1, m(1)) - y(0, m(0));
+    mte swaps the mediator arm at the factual treatment; dte swaps the
+    treatment at the factual (dte_at_t) or the other (dte_at_other) mediator."""
+    treated = np.broadcast_to(np.asarray(t) == 1, y1_m1.shape)
+    ite = y1_m1 - y0_m0
+    mte_at_t = np.where(treated, y1_m1 - y1_m0, y0_m1 - y0_m0)
+    dte_at_t = np.where(treated, y1_m1 - y0_m1, y1_m0 - y0_m0)
+    dte_at_other = np.where(treated, y1_m0 - y0_m0, y1_m1 - y0_m1)
     return EffectEstimates(
         ite=ite, mte_at_t=mte_at_t, dte_at_t=dte_at_t, dte_at_other=dte_at_other,
         ate=float(np.mean(ite)) if ite.size else float("nan"),
-        att=att,
+        att=float(np.mean(ite[treated])) if np.any(treated) else float("nan"),
         ame=float(np.mean(mte_at_t)) if ite.size else float("nan"),
         ade=float(np.mean(dte_at_t)) if ite.size else float("nan"),
-        pred_t=yt_mt, pred_c=yc_mc,
+        pred_t=y1_m1, pred_c=y0_m0,
     )
 
 

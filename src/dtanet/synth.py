@@ -5,7 +5,8 @@ mediator, and outcome. The treatment rule thresholds a sum of nonlinear basis
 functions of x1..x5, the mediator model adds c*t, and the outcome model adds
 a*t + b*m. Each individual's mediator/outcome noise pair is drawn once (with
 correlation rho) and shared across all potential worlds, so the true
-per-individual effects are exactly ITE = a + b*c, MTE = b*c, DTE = a.
+per-individual effects are exactly ITE = a + b*c, MTE = b*c, DTE = a;
+GroundTruth.effects splits them with the estimates' model.decompose_effects.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import ObservationalDataset, check_config
+from .model import EffectEstimates, decompose_effects
 
 _BASIS = {
     1: lambda x: -2.0 * np.sin(2.0 * x),
@@ -69,7 +71,7 @@ class GroundTruth:
     """All four potential outcomes and both potential mediators, per individual.
 
     y_t0_m1 / y_t1_m0 are the cross terms y(t, m(1-t)) needed for true
-    MTE/DTE; mu_* are the noiseless expected counterparts.
+    MTE/DTE; mu_m0 / mu_y0 are the noiseless expected counterparts of m0 / y0.
     """
 
     m0: np.ndarray
@@ -79,30 +81,11 @@ class GroundTruth:
     y_t1_m0: np.ndarray   # y(1, m(0))
     y_t0_m1: np.ndarray   # y(0, m(1))
     mu_m0: np.ndarray
-    mu_m1: np.ndarray
     mu_y0: np.ndarray
-    mu_y1: np.ndarray
-    mu_y_t1_m0: np.ndarray
-    mu_y_t0_m1: np.ndarray
 
-    def ite(self) -> np.ndarray:
-        return self.y1 - self.y0
-
-    def mte_at(self, t) -> np.ndarray:
-        """y(t, m(1)) - y(t, m(0)) at each individual's status t."""
-        t = np.asarray(t)
-        return np.where(t == 1, self.y1 - self.y_t1_m0, self.y_t0_m1 - self.y0)
-
-    def dte_at(self, t) -> np.ndarray:
-        """y(1, m(t)) - y(0, m(t)) at each individual's status t."""
-        t = np.asarray(t)
-        return np.where(t == 1, self.y1 - self.y_t0_m1, self.y_t1_m0 - self.y0)
-
-    def ame(self, t) -> float:
-        return float(np.mean(self.mte_at(t)))
-
-    def ade(self, t) -> float:
-        return float(np.mean(self.dte_at(t)))
+    def effects(self, t) -> EffectEstimates:
+        """The true effects at factual status t, as estimates decompose them."""
+        return decompose_effects(self.y1, self.y_t1_m0, self.y_t0_m1, self.y0, t)
 
 
 def generate(cfg: SynthConfig):
@@ -132,9 +115,7 @@ def generate(cfg: SynthConfig):
         m0=m0, m1=m1,
         y0=outcome(0, m0) + eps_y, y1=outcome(1, m1) + eps_y,
         y_t1_m0=outcome(1, m0) + eps_y, y_t0_m1=outcome(0, m1) + eps_y,
-        mu_m0=mu_m0, mu_m1=mu_m1,
-        mu_y0=outcome(0, mu_m0), mu_y1=outcome(1, mu_m1),
-        mu_y_t1_m0=outcome(1, mu_m0), mu_y_t0_m1=outcome(0, mu_m1))
+        mu_m0=mu_m0, mu_y0=outcome(0, mu_m0))
 
     y = np.where(t == 1, truth.y1, truth.y0)
     dataset = ObservationalDataset(X=X, t=t, y=y, gt_y0=truth.y0, gt_y1=truth.y1,

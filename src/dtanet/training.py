@@ -69,7 +69,7 @@ class TrainConfig:
             widths = tuple(getattr(self, name))
             if not all(isinstance(w, numbers.Integral) and w >= 1 for w in widths):
                 raise ValueError(f"{name} widths must be integers >= 1, got {widths}")
-            setattr(self, name, widths)
+            setattr(self, name, tuple(map(int, widths)))
 
 
 @dataclass

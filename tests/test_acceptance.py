@@ -110,9 +110,10 @@ def test_criterion_3_ground_truth_anchor():
     """Shared-noise generator pins every per-individual effect exactly."""
     ds, truth = generate(SynthConfig(n=1500, d=100, a=2.0, b=0.5, c=1.0,
                                      rho=0.0, seed=0))
-    ite_err = np.max(np.abs(truth.ite() - 2.5))
-    mte_err = np.max(np.abs(truth.mte_at(ds.t) - 0.5))
-    dte_err = np.max(np.abs(truth.dte_at(ds.t) - 2.0))
+    true = truth.effects(ds.t)
+    ite_err = np.max(np.abs(true.ite - 2.5))
+    mte_err = np.max(np.abs(true.mte_at_t - 0.5))
+    dte_err = np.max(np.abs(true.dte_at_t - 2.0))
     worst = max(ite_err, mte_err, dte_err)
     # the effects are differences of outcomes of magnitude ~30, so "exact"
     # means a few ulps at that scale
@@ -138,8 +139,9 @@ def benchmark_runs():
         model, _ = train(ds, cfg, parts.train, parts.validation)
         idx = parts.validation
         est = estimate_effects(model, ds.X[idx], ds.t[idx])
-        true_ite = truth.ite()[idx]
         truth_val = slice_truth(truth, idx)
+        true_val = truth_val.effects(ds.t[idx])
+        true_ite = true_val.ite
         treated = ds.t[idx] == 1
         y1_err = predict_outcomes(model, ds.X[idx], "treated", "treated") - truth_val.y1
         y0_err = predict_outcomes(model, ds.X[idx], "control", "control") - truth_val.y0
@@ -151,7 +153,7 @@ def benchmark_runs():
         mt, mc = ols2_fit(fit_ds)
         rows.append({
             "model_pehe": math.sqrt(pehe(est.ite, true_ite)),
-            "eps_mte": abs(est.ame - truth_val.ame(ds.t[idx])),
+            "eps_mte": abs(est.ame - true_val.ame),
             "ols1_pehe": math.sqrt(pehe(ols1_ite(ols1, ds.X[idx]), true_ite)),
             "ols2_pehe": math.sqrt(pehe(ols2_ite(mt, mc, ds.X[idx]), true_ite)),
             "treated_head_factual": _rmse(y1_err[treated]),

@@ -189,6 +189,27 @@ class TestPipeline:
         assert rows[1][3] == "ok"
         assert np.isfinite(float(rows[1][2]))
 
+    def test_evaluate_split_seed_order(self, workspace, tmp_path):
+        """evaluate splits with --seed, else the config file's seed, else the
+        seed the checkpoint was trained with."""
+        _, cfg, data, _ = workspace
+        assert main(["train", "--config", cfg, "--data", data, "--seed", "7",
+                     "--out", str(tmp_path / "run")]) == EXIT_OK
+
+        def metrics(name, *argv):
+            out = tmp_path / name
+            assert main(["evaluate", "--data", data, "--out", str(out), "--checkpoint",
+                         str(tmp_path / "run" / "checkpoint.npz"), *argv]) == EXIT_OK
+            return (out / "metrics.csv").read_bytes()
+
+        seed_7, seed_3 = metrics("seed_7", "--seed", "7"), metrics("seed_3", "--seed", "3")
+        assert seed_7 != seed_3
+        assert metrics("stored") == seed_7
+        assert metrics("seedless_config", "--config", cfg) == seed_7
+        cfg_3 = write_config(tmp_path, {"seed": 3}, name="seed_3.json")
+        assert metrics("config_seed", "--config", cfg_3) == seed_3
+        assert metrics("flag_over_config", "--config", cfg_3, "--seed", "7") == seed_7
+
     def test_seed_override_changes_dataset(self, workspace, tmp_path):
         _, cfg, data, _ = workspace
         out = tmp_path / "gen2"
@@ -496,6 +517,65 @@ class TestDataConditions:
         line = self._data_error([command, "--config", cfg, "--out", str(tmp_path / "s"),
                                  "--trials", "2"], capsys)
         assert "need n >= 5 to split" in line
+
+
+class TestSweepsCheckBeforeTraining:
+    """A sweep whose inputs cannot all be used stops before its first training."""
+
+    @pytest.fixture
+    def trainings(self, monkeypatch):
+        from dtanet import cli
+        calls = []
+
+        def record(*args, **kwargs):
+            calls.append(args[1].seed)
+            raise FloatingPointError("trained")
+
+        monkeypatch.setattr(cli, "train", record)
+        return calls
+
+    @staticmethod
+    def _fails(argv, code, capsys):
+        capsys.readouterr()
+        assert main(argv) == code
+        return only_error_line(capsys)
+
+    def test_gridsearch_without_a_validation_row(self, workspace, tmp_path, capsys,
+                                                 trainings):
+        _, cfg, data, _ = workspace
+        path = rewritten_csv(data, tmp_path, lambda rows: rows[:6])
+        line = self._fails(["gridsearch", "--config", cfg, "--data", path, "--out",
+                            str(tmp_path / "grid"), "--grid", "0.1x0.3,0.45"],
+                           EXIT_DATA, capsys)
+        assert line.startswith("data error: ") and "validation" in line
+        assert trainings == []
+
+    def test_explain_unknown_covariate(self, tmp_path, capsys, trainings):
+        cfg = write_config(tmp_path, {"n": 60, "epochs": 1})
+        line = self._fails(["explain", "--config", cfg, "--out", str(tmp_path / "e"),
+                            "--trials", "2", "--exclude", "x1", "--exclude", "bogus"],
+                           EXIT_DATA, capsys)
+        assert line == "data error: unknown covariates: ['bogus']"
+        assert trainings == []
+
+    def test_explain_repeated_group(self, tmp_path, capsys, trainings):
+        cfg = write_config(tmp_path, {"n": 60, "epochs": 1})
+        line = self._fails(["explain", "--config", cfg, "--out", str(tmp_path / "e"),
+                            "--trials", "2", "--exclude", "x1", "--exclude", "x1"],
+                           EXIT_USAGE, capsys)
+        assert line.startswith("error: ") and "'x1'" in line
+        assert trainings == []
+
+    def test_explain_covariate_named_baseline(self, workspace, tmp_path, capsys,
+                                              trainings):
+        _, cfg, data, _ = workspace
+        path = rewritten_csv(data, tmp_path, lambda rows: [["baseline", *rows[0][1:]],
+                                                            *rows[1:]])
+        line = self._fails(["explain", "--config", cfg, "--data", path,
+                            "--out", str(tmp_path / "e"), "--trials", "2"],
+                           EXIT_USAGE, capsys)
+        assert line.startswith("error: ") and "'baseline'" in line
+        assert trainings == []
 
 
 class TestDivergence:

@@ -68,6 +68,10 @@ class TestDatasetValidation:
         with pytest.raises(DataError):
             ObservationalDataset(X=np.ones((2, 2)), t=[0, 2], y=[0.0, 0.0])
 
+    def test_fractional_treatment_rejected_before_the_integer_cast(self):
+        with pytest.raises(DataError, match="strictly binary"):
+            ObservationalDataset(X=np.ones((3, 2)), t=[0, 0.7, 1], y=[0.0, 0.0, 0.0])
+
     def test_misaligned_outcome(self):
         with pytest.raises(DataError):
             ObservationalDataset(X=np.ones((3, 2)), t=[0, 1, 0], y=[0.0, 1.0])

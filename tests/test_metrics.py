@@ -70,7 +70,8 @@ def errors(report):
 class TestEffectReport:
     def test_exact_estimate_gives_zeros(self):
         ds, truth = generate(SynthConfig(n=30, d=6, seed=0))
-        est = make_estimates(truth.ite(), ds.t, truth.mte_at(ds.t), truth.dte_at(ds.t))
+        true = truth.effects(ds.t)
+        est = make_estimates(true.ite, ds.t, true.mte_at_t, true.dte_at_t)
         report = effect_report(est, ds.t, truth=truth)
         assert errors(report) == (0.0, 0.0, 0.0, 0.0)
         assert report.sqrt_pehe == 0.0
@@ -78,8 +79,8 @@ class TestEffectReport:
 
     def test_known_offset(self):
         ds, truth = generate(SynthConfig(n=30, d=6, seed=0))
-        est = make_estimates(truth.ite() - 0.5, ds.t,
-                             truth.mte_at(ds.t), truth.dte_at(ds.t))
+        true = truth.effects(ds.t)
+        est = make_estimates(true.ite - 0.5, ds.t, true.mte_at_t, true.dte_at_t)
         eps_ate, eps_att, eps_mte, eps_dte = errors(effect_report(est, ds.t, truth=truth))
         assert eps_ate == pytest.approx(0.5)
         assert eps_att == pytest.approx(0.5)
@@ -89,16 +90,17 @@ class TestEffectReport:
     def test_no_treated_rows_omits_att(self):
         ds, truth = generate(SynthConfig(n=20, d=6, seed=1))
         t = np.zeros(20, dtype=int)
-        est = make_estimates(truth.ite(), np.r_[1, np.zeros(19, dtype=int)],
-                             truth.mte_at(t), truth.dte_at(t))
+        true = truth.effects(t)
+        est = make_estimates(true.ite, np.r_[1, np.zeros(19, dtype=int)],
+                             true.mte_at_t, true.dte_at_t)
         assert effect_report(est, t, truth=truth).eps_att is None
 
     def test_true_ite_only_leaves_mediated_and_direct_unset(self):
         ds, truth = generate(SynthConfig(n=30, d=6, seed=0))
-        est = make_estimates(truth.ite() - 0.5, ds.t,
-                             truth.mte_at(ds.t), truth.dte_at(ds.t))
+        true = truth.effects(ds.t)
+        est = make_estimates(true.ite - 0.5, ds.t, true.mte_at_t, true.dte_at_t)
         est.pred_t, est.pred_c = np.ones(30), np.zeros(30)
-        report = effect_report(est, ds.t, true_ite=truth.ite())
+        report = effect_report(est, ds.t, true_ite=true.ite)
         assert report.sqrt_pehe == pytest.approx(0.5)
         assert report.eps_ate == pytest.approx(0.5)
         assert report.eps_att == pytest.approx(0.5)
@@ -107,7 +109,8 @@ class TestEffectReport:
 
     def test_no_truth_gives_policy_risk_only(self):
         ds, truth = generate(SynthConfig(n=30, d=6, seed=0))
-        est = make_estimates(truth.ite(), ds.t, truth.mte_at(ds.t), truth.dte_at(ds.t))
+        true = truth.effects(ds.t)
+        est = make_estimates(true.ite, ds.t, true.mte_at_t, true.dte_at_t)
         est.pred_t, est.pred_c = np.zeros(30), np.ones(30)
         report = effect_report(est, ds.t)
         assert report == MetricsReport(policy_risk=pytest.approx(0.0))

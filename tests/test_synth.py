@@ -55,22 +55,23 @@ class TestGenerate:
         """Shared noise makes every per-individual effect a constant."""
         cfg = SynthConfig(n=400, d=10, seed=3)
         ds, truth = generate(cfg)
-        np.testing.assert_allclose(truth.ite(), cfg.a + cfg.b * cfg.c)
-        np.testing.assert_allclose(truth.mte_at(ds.t), cfg.b * cfg.c)
-        np.testing.assert_allclose(truth.dte_at(ds.t), cfg.a)
+        true = truth.effects(ds.t)
+        np.testing.assert_allclose(true.ite, cfg.a + cfg.b * cfg.c)
+        np.testing.assert_allclose(true.mte_at_t, cfg.b * cfg.c)
+        np.testing.assert_allclose(true.dte_at_t, cfg.a)
         np.testing.assert_allclose(truth.m1 - truth.m0, cfg.c)
 
     def test_effects_track_coefficients(self):
         cfg = SynthConfig(n=50, d=6, a=-1.0, b=2.0, c=3.0, seed=1)
         _, truth = generate(cfg)
-        np.testing.assert_allclose(truth.ite(), -1.0 + 6.0)
-        assert truth.ame([0]) == pytest.approx(6.0)
-        assert truth.ade([1]) == pytest.approx(-1.0)
+        np.testing.assert_allclose(truth.effects([0]).ite, -1.0 + 6.0)
+        assert truth.effects([0]).ame == pytest.approx(6.0)
+        assert truth.effects([1]).ade == pytest.approx(-1.0)
 
     def test_zero_mediator_coupling_kills_mte(self):
         ds, truth = generate(SynthConfig(n=50, d=6, c=0.0, seed=2))
-        np.testing.assert_allclose(truth.mte_at(ds.t), 0.0, atol=1e-15)
-        np.testing.assert_allclose(truth.ite(), 2.0)
+        np.testing.assert_allclose(truth.effects(ds.t).mte_at_t, 0.0, atol=1e-15)
+        np.testing.assert_allclose(truth.effects(ds.t).ite, 2.0)
 
     def test_factual_outcome_consistency(self):
         ds, truth = generate(SynthConfig(n=200, d=8, seed=5))
@@ -83,9 +84,40 @@ class TestGenerate:
     def test_decomposition_cross_terms(self):
         ds, truth = generate(SynthConfig(n=100, d=7, seed=6))
         # ITE = MTE(t) + DTE(1-t) holds world by world
-        lhs = truth.ite()
-        rhs = truth.mte_at(ds.t) + truth.dte_at(1 - ds.t)
+        lhs = truth.effects(ds.t).ite
+        rhs = truth.effects(ds.t).mte_at_t + truth.effects(1 - ds.t).dte_at_t
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
+
+    @pytest.mark.parametrize("status", ["mixed", "all_control", "broadcast"])
+    def test_effects_equal_the_per_effect_formulas_bit_for_bit(self, status):
+        """effects(t) gives the bits of the formulas GroundTruth had one
+        method each for (ite, mte_at, dte_at, ame, ade) and of the means
+        effect_report took of the true ITE."""
+        ds, truth = generate(SynthConfig(n=90, d=6, a=1.3, b=-0.7, c=2.1,
+                                         rho=0.4, seed=8))
+        t = {"mixed": ds.t, "all_control": np.zeros(ds.n, dtype=int),
+             "broadcast": np.array([0])}[status]
+
+        def mte_at(t):
+            return np.where(t == 1, truth.y1 - truth.y_t1_m0, truth.y_t0_m1 - truth.y0)
+
+        def dte_at(t):
+            return np.where(t == 1, truth.y1 - truth.y_t0_m1, truth.y_t1_m0 - truth.y0)
+
+        ite = truth.y1 - truth.y0
+        got = truth.effects(t)
+        np.testing.assert_array_equal(got.ite, ite)
+        np.testing.assert_array_equal(got.mte_at_t, mte_at(t))
+        np.testing.assert_array_equal(got.dte_at_t, dte_at(t))
+        np.testing.assert_array_equal(got.dte_at_other, dte_at(1 - t))
+        assert got.ame == float(np.mean(mte_at(t)))
+        assert got.ade == float(np.mean(dte_at(t)))
+        assert got.ate == float(np.mean(ite))
+        if status == "mixed":
+            assert 0 < np.sum(t) < ds.n
+            assert got.att == float(np.mean(ite[t == 1]))
+        else:
+            assert np.isnan(got.att)
 
     def test_deterministic_per_seed(self):
         a1, t1 = generate(SynthConfig(n=60, d=6, seed=11))

@@ -1,13 +1,14 @@
 """Losses, total objective, gradient assembly, and the training loop."""
 
+import json
 import math
-from dataclasses import astuple, fields, replace
+from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
 
 from dtanet import nn, ot
-from dtanet.model import init_model
+from dtanet.model import init_model, load_checkpoint, save_checkpoint
 from dtanet.synth import SynthConfig, generate
 from dtanet.data import DataError, write_rows
 from dtanet.training import (TraceRecord, TrainConfig, compute_gradients,
@@ -296,6 +297,23 @@ class TestTrain:
         cfg = tiny_cfg(epochs=60, batch_size_t=16, batch_size_c=16, seed=42)
         _, trace = train(ds, cfg)
         assert trace[-1].total < trace[0].total
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("field, value, plain", [
+        ("seed", np.int64(3), 3),
+        ("alpha", np.float32(1e-3), float(np.float32(1e-3))),
+        ("phi_hidden", (np.int64(2),), (2,)),
+    ])
+    def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path, field,
+                                                        value, plain):
+        cfg = tiny_cfg(epochs=1, **{field: value})
+        assert getattr(cfg, field) == plain
+        assert json.dumps(asdict(cfg)) == json.dumps(asdict(tiny_cfg(epochs=1,
+                                                                     **{field: plain})))
+        model, _ = train(self.make_data(n=40), cfg)
+        save_checkpoint(tmp_path / "ckpt.npz", model, asdict(cfg))
+        _, stored = load_checkpoint(tmp_path / "ckpt.npz")
+        assert TrainConfig(**stored) == cfg
 
     def test_deterministic_replay(self):
         ds = self.make_data(n=60, seed=3)
