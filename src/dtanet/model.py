@@ -112,38 +112,69 @@ def represent(model: DtanetModel, X):
     return Z, M_t, M_c
 
 
+# Inference runs the nets on row blocks of this many rows (the remainder
+# merged into the last block), so that no tape or [Z, M] matrix outgrows a
+# block. At one BLAS thread OpenBLAS gives a row the bits of the whole call,
+# except on its small-matrix dgemm path (in_dim >= 32 and out_dim x rows
+# <= 1200): blocks of 576 rows change the bits of a 2-wide layer, 640 do not.
+_BLOCK_ROWS = 640
+
+
+def _row_blocks(n):
+    """Slices [0, B), [B, 2B), ... of range(n) for B = _BLOCK_ROWS, the
+    remainder merged into the last one: one slice of all n rows when n < 2B,
+    else blocks of B rows and a last one of B to 2B - 1 rows.
+
+    Block starts are multiples of B; at one BLAS thread each block then gets
+    the bits the whole call gives its rows.
+    """
+    ends = [*range(_BLOCK_ROWS, n - _BLOCK_ROWS + 1, _BLOCK_ROWS), n]
+    return [slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)]
+
+
 def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
     """Batched head evaluation: head(concat(phi(x), psi_arm(x))) per row.
 
-    Runs phi, the mediator arm's net and the head: three forwards.
+    Runs phi, the mediator arm's net and the head, three forwards per row
+    block of _row_blocks. At one BLAS thread the result has the bits of one
+    call on all rows; with more threads a fold of 2 * _BLOCK_ROWS rows or
+    more can differ in the last bits, since threaded GEMM splits its rows by
+    the size of each call.
     """
     if head not in _ARMS or mediator_arm not in _ARMS:
         raise ValueError(f"arms must be one of {_ARMS}")
     X = _covariates(model, X)
-    Z, _ = model.phi.forward(X)
-    M, _ = (model.psi_t if mediator_arm == TREATED else model.psi_c).forward(X)
+    psi = model.psi_t if mediator_arm == TREATED else model.psi_c
     net = model.head_t if head == TREATED else model.head_c
-    out, _ = net.forward(np.hstack([Z, M]))
-    return out[:, 0]
+    out = np.empty(X.shape[0])
+    for rows in _row_blocks(X.shape[0]):
+        Z, _ = model.phi.forward(X[rows])
+        M, _ = psi.forward(X[rows])
+        out[rows] = net.forward(np.hstack([Z, M]))[0][:, 0]
+    return out
 
 
 def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
     """Effect estimates at factual status t: decompose_effects of each head's
     prediction with each arm's mediator representation.
 
-    The three representation nets run once and each head twice, on the same
-    inputs predict_outcomes gives them, so every prediction equals
-    predict_outcomes' bit for bit.
+    Per row block of _row_blocks, the three representation nets run once and
+    each head twice, on the same inputs predict_outcomes gives them, so every
+    prediction equals predict_outcomes' bit for bit at any BLAS thread count
+    (and equals one call on all rows only at one thread, as there). The four
+    predictions fill one (4, n) array.
     """
     t = np.asarray(t)
-    X = np.asarray(X, dtype=float)
+    X = _covariates(model, X)
     if X.shape[0] != t.shape[0]:
         raise ValueError("X and t lengths disagree")
-    Z, M_t, M_c = represent(model, X)
-    H_t, H_c = np.hstack([Z, M_t]), np.hstack([Z, M_c])
-    yt_mt, yt_mc = (model.head_t.forward(H)[0][:, 0] for H in (H_t, H_c))
-    yc_mt, yc_mc = (model.head_c.forward(H)[0][:, 0] for H in (H_t, H_c))
-    return decompose_effects(yt_mt, yt_mc, yc_mt, yc_mc, t)
+    Y = np.empty((4, X.shape[0]))
+    for rows in _row_blocks(X.shape[0]):
+        Z, M_t, M_c = represent(model, X[rows])
+        H_t, H_c = np.hstack([Z, M_t]), np.hstack([Z, M_c])
+        Y[0, rows], Y[1, rows] = (model.head_t.forward(H)[0][:, 0] for H in (H_t, H_c))
+        Y[2, rows], Y[3, rows] = (model.head_c.forward(H)[0][:, 0] for H in (H_t, H_c))
+    return decompose_effects(*Y, t)
 
 
 def decompose_effects(y1_m1, y1_m0, y0_m1, y0_m0, t) -> EffectEstimates:
@@ -188,7 +219,8 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (model, config dict).
 
     Raises DataError for a file that is not an .npz archive of plain arrays
-    (pickled data is refused), for another checkpoint_version, and for a
+    (pickled data is refused), for another checkpoint_version, for a stored
+    seed that is not an integer >= 0 (a missing one is fine), and for a
     missing or malformed network.
     """
     try:
@@ -205,6 +237,9 @@ def load_checkpoint(path):
             config = json.loads(str(data["config_json"]))
             if not isinstance(config, dict):
                 raise DataError("config_json is not a JSON object")
+            seed = config.get("seed", 0)
+            if type(seed) is not int or seed < 0:
+                raise DataError(f"stored seed {seed!r} is not an integer >= 0")
             nets = {}
             for name in BUNDLES:
                 weights, biases = [], []

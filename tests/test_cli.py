@@ -332,6 +332,17 @@ class TestBadInput:
         assert "the head_c network is missing" in self._evaluate(
             workspace, ckpt, tmp_path, capsys)
 
+    @pytest.mark.parametrize("seed", ['"abc"', "3.0", "-1", "true"])
+    def test_checkpoint_with_bad_seed(self, workspace, tmp_path, capsys, seed):
+        def reseed(arrays):
+            config = json.loads(str(arrays["config_json"]))
+            config["seed"] = json.loads(seed)
+            arrays["config_json"] = np.array(json.dumps(config, sort_keys=True))
+        ckpt = self._rewritten(workspace, tmp_path, reseed)
+        assert self._evaluate(workspace, ckpt, tmp_path, capsys) == (
+            f"data error: {ckpt}: not a usable dtanet checkpoint: "
+            f"stored seed {json.loads(seed)!r} is not an integer >= 0")
+
 
 class TestExplain:
     def test_exclusion_groups_and_distances(self, tmp_path):

@@ -1,6 +1,12 @@
 """Model architecture, effect estimators, checkpoint round-trip."""
 
 import hashlib
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tracemalloc
 import zipfile
 from pathlib import Path
 
@@ -8,8 +14,8 @@ import numpy as np
 import pytest
 
 from dtanet import nn
-from dtanet.model import (DtanetModel, estimate_effects, init_model,
-                          load_checkpoint, predict_outcomes,
+from dtanet.model import (DtanetModel, decompose_effects, estimate_effects,
+                          init_model, load_checkpoint, predict_outcomes,
                           represent, save_checkpoint)
 
 
@@ -178,6 +184,119 @@ class TestEstimateEffects:
         est = estimate_effects(small_model(), np.ones((2, 4)), np.array([1, 0]))
         again = type(est)(**est.__dict__)
         np.testing.assert_array_equal(again.pred_t, est.pred_t)
+
+
+def unblocked_estimate_effects(model, X, t):
+    """estimate_effects as it was before row blocking: every net on all rows."""
+    Z, M_t, M_c = represent(model, X)
+    H_t, H_c = np.hstack([Z, M_t]), np.hstack([Z, M_c])
+    yt_mt, yt_mc = (model.head_t.forward(H)[0][:, 0] for H in (H_t, H_c))
+    yc_mt, yc_mc = (model.head_c.forward(H)[0][:, 0] for H in (H_t, H_c))
+    return decompose_effects(yt_mt, yt_mc, yc_mt, yc_mc, t)
+
+
+def square_model(width, d, seed):
+    """A model with every representation and hidden width equal to width."""
+    hidden = (width, width)
+    return init_model(d, width, width, hidden, hidden, hidden,
+                      np.random.default_rng(seed))
+
+
+def estimate_bytes(est):
+    return b"".join(np.asarray(value).tobytes() for value in est.__dict__.values())
+
+
+def block_rule_mismatches():
+    """(width, d, n) cases where estimate_effects' bits differ from the
+    unblocked reference's. Run at one BLAS thread."""
+    mismatches = []
+    for width, d in itertools.product((1, 2, 3, 4, 32, 200), (6, 25, 32, 100)):
+        model = square_model(width, d, seed=1000 * width + d)
+        rng = np.random.default_rng(d)
+        X, t = rng.standard_normal((9999, d)), rng.integers(0, 2, 9999)
+        for n in (0, 1, 639, 640, 1279, 1280, 1281, 4000, 4001, 9999):
+            if (estimate_bytes(estimate_effects(model, X[:n], t[:n]))
+                    != estimate_bytes(unblocked_estimate_effects(model, X[:n], t[:n]))):
+                mismatches.append((width, d, n))
+    return mismatches
+
+
+def split_layer_diffs():
+    """Entries where a 2-wide layer on 100 inputs, run on 1280 rows in blocks
+    of 576 and of 640 rows (the remainder merged into the last block), differs
+    from one call on all rows. Run at one BLAS thread."""
+    rng = np.random.default_rng(0)
+    x, w = rng.standard_normal((1280, 100)), rng.standard_normal((2, 100))
+    whole = x @ w.T
+    diffs = []
+    for block in (576, 640):
+        split = np.vstack([x[:block] @ w.T, x[block:] @ w.T])
+        diffs.append(int(np.count_nonzero(split != whole)))
+    return diffs
+
+
+def at_one_blas_thread(function):
+    """function() of this module, run in a Python whose BLAS has one thread."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import test_model; print(test_model.{function}())"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+class TestRowBlocks:
+    def test_estimates_keep_the_unblocked_bits_at_one_blas_thread(self):
+        assert at_one_blas_thread("block_rule_mismatches") == "[]"
+
+    def test_a_576_row_split_changes_bits_and_a_640_row_split_does_not(self):
+        """The small-matrix GEMM path makes the block size matter."""
+        split_576, split_640 = json.loads(at_one_blas_thread("split_layer_diffs"))
+        assert split_576 > 0 and split_640 == 0
+
+    @pytest.mark.parametrize("n", [1500, 4001])
+    def test_predictions_equal_predict_outcomes_bit_for_bit(self, n):
+        m = square_model(32, 25, n)
+        rng = np.random.default_rng(n)
+        X, t = rng.standard_normal((n, 25)), rng.integers(0, 2, n)
+        est = estimate_effects(m, X, t)
+        y = {(h, a): predict_outcomes(m, X, h, a)
+             for h in ("treated", "control") for a in ("treated", "control")}
+        np.testing.assert_array_equal(est.pred_t, y["treated", "treated"])
+        np.testing.assert_array_equal(est.pred_c, y["control", "control"])
+        treated = t == 1
+        np.testing.assert_array_equal(est.mte_at_t, np.where(
+            treated, y["treated", "treated"] - y["treated", "control"],
+            y["control", "treated"] - y["control", "control"]))
+        np.testing.assert_array_equal(est.dte_at_other, np.where(
+            treated, y["treated", "control"] - y["control", "control"],
+            y["treated", "treated"] - y["control", "treated"]))
+
+    @pytest.mark.parametrize("n, forwards", [(1279, 7), (1280, 14)])
+    def test_seven_forward_passes_per_block(self, monkeypatch, n, forwards):
+        calls = []
+        original = nn.DenseNet.forward
+        monkeypatch.setattr(nn.DenseNet, "forward",
+                            lambda self, x: calls.append(len(x)) or original(self, x))
+        estimate_effects(small_model(), np.ones((n, 4)), np.arange(n) % 2)
+        assert len(calls) == forwards
+        assert sum(calls) == 7 * n
+
+    def test_peak_memory_below_half_of_the_unblocked_one(self):
+        m = square_model(200, 100, 0)
+        rng = np.random.default_rng(1)
+        X, t = rng.standard_normal((4000, 100)), rng.integers(0, 2, 4000)
+        peaks = []
+        for estimate in (estimate_effects, unblocked_estimate_effects):
+            tracemalloc.start()
+            try:
+                estimate(m, X, t)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] < peaks[1] / 2
 
 
 class TestModelInvariants:
