@@ -45,18 +45,11 @@ def load_config(path) -> tuple[dict, dict]:
         raise UsageError("config must be a flat JSON object")
     synth_keys = {f.name for f in fields(SynthConfig)}
     train_keys = {f.name for f in fields(TrainConfig)}
-    synth_cfg, train_cfg = {}, {}
-    for key, value in raw.items():
-        known = False
-        if key in synth_keys:
-            synth_cfg[key] = value
-            known = True
-        if key in train_keys:
-            train_cfg[key] = value
-            known = True
-        if not known:
+    for key in raw:
+        if key not in synth_keys and key not in train_keys:
             raise UsageError(f"unknown config key: {key}")
-    return synth_cfg, train_cfg
+    return ({k: v for k, v in raw.items() if k in synth_keys},
+            {k: v for k, v in raw.items() if k in train_keys})
 
 
 def _configs(args, seed=None) -> tuple[SynthConfig, TrainConfig]:
@@ -100,6 +93,14 @@ def _train_on(dataset, train_cfg):
     return model, trace
 
 
+def _trial(dataset, train_cfg):
+    """A sweep trial: _train_on's (model, trace, "ok"), or (None, None, "error: ...")."""
+    try:
+        return *_train_on(dataset, train_cfg), "ok"
+    except FloatingPointError as exc:
+        return None, None, f"error: {exc}"
+
+
 def cmd_generate(args) -> int:
     synth_cfg, _ = _configs(args)
     out = _outdir(args)
@@ -128,6 +129,9 @@ def cmd_evaluate(args) -> int:
     # split as in training unless --seed or the config file names a seed
     _, train_cfg = _configs(args, stored_cfg.get("seed"))
     dataset = load_csv(args.data)
+    if dataset.d != model.in_dim:
+        raise DataError(f"{args.data}: {dataset.d} covariate columns, "
+                        f"the checkpoint's model reads {model.in_dim}")
     out = _outdir(args)
     parts = split(dataset.n, train_cfg.seed)
     rows = []
@@ -163,23 +167,19 @@ def cmd_gridsearch(args) -> int:
     out = _outdir(args)
     l1_values, l2_values = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
     rows = []
-    best = None  # (val_l_y, lambda1, lambda2); first minimum wins ties
     for lam1 in l1_values:
         for lam2 in l2_values:
             cell = replace(train_cfg, lambda1=lam1, lambda2=lam2)
-            try:
-                _, trace = _train_on(dataset, cell)
-                val = min(rec.val_l_y for rec in trace)
-                rows.append([lam1, lam2, val, "ok"])
-                if best is None or val < best[0]:
-                    best = (val, lam1, lam2)
-            except FloatingPointError as exc:
-                rows.append([lam1, lam2, None, f"error: {exc}"])
+            _, trace, status = _trial(dataset, cell)
+            val = min(rec.val_l_y for rec in trace) if trace else None
+            rows.append([lam1, lam2, val, status])
     write_rows(out / "grid.csv", ["lambda1", "lambda2", "val_l_y", "status"], rows)
+    # min keeps the first of equal values, and a NaN in the first ok row
+    best = min((r for r in rows if r[3] == "ok"), key=lambda r: r[2], default=None)
     if best is None:
         print("every grid cell failed", file=sys.stderr)
         return EXIT_NUMERICAL
-    print(f"best cell: lambda1={best[1]} lambda2={best[2]} val_l_y={best[0]}")
+    print(f"best cell: lambda1={best[0]} lambda2={best[1]} val_l_y={best[2]}")
     return EXIT_OK
 
 
@@ -194,10 +194,9 @@ def _effect_samples(label, datasets, train_cfg, rows):
     ame_list, ade_list = [], []
     for trial, dataset in enumerate(datasets):
         cfg = replace(train_cfg, seed=train_cfg.seed + trial)
-        try:
-            model, _ = _train_on(dataset, cfg)
-        except FloatingPointError as exc:
-            rows.append([label, trial, None, None, f"error: {exc}"])
+        model, _, status = _trial(dataset, cfg)
+        if model is None:
+            rows.append([label, trial, None, None, status])
             continue
         est = estimate_effects(model, dataset.X, dataset.t)
         ame_list.append(est.ame)

@@ -35,6 +35,9 @@ class DtanetModel:
     head_c: DenseNet   # (r_z + r_m) -> control outcome
 
     def __post_init__(self):
+        widths = [net.in_dim for net in (self.phi, self.psi_t, self.psi_c)]
+        if len(set(widths)) != 1:
+            raise ValueError(f"phi, psi_t and psi_c input widths {widths} differ")
         if self.psi_t.out_dim != self.psi_c.out_dim:
             raise ValueError("psi_t and psi_c must share their output dimension")
         want = self.phi.out_dim + self.psi_t.out_dim
@@ -132,49 +135,47 @@ def _row_blocks(n):
     return [slice(lo, hi) for lo, hi in zip([0, *ends[:-1]], ends)]
 
 
-def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
-    """Batched head evaluation: head(concat(phi(x), psi_arm(x))) per row.
+def _predict(model: DtanetModel, X, pairs):
+    """Head predictions, one row per (head, mediator_arm) pair in pairs.
 
-    Runs phi, the mediator arm's net and the head, three forwards per row
-    block of _row_blocks. At one BLAS thread the result has the bits of one
-    call on all rows; with more threads a fold of 2 * _BLOCK_ROWS rows or
-    more can differ in the last bits, since threaded GEMM splits its rows by
-    the size of each call.
+    Per row block of _row_blocks, phi runs once, then each mediator net that
+    a pair names, then the heads in pair order. At one BLAS thread the result
+    has the bits of one call on all rows; with more threads a fold of
+    2 * _BLOCK_ROWS rows or more can differ in the last bits, since threaded
+    GEMM splits its rows by the size of each call.
     """
-    if head not in _ARMS or mediator_arm not in _ARMS:
-        raise ValueError(f"arms must be one of {_ARMS}")
-    X = _covariates(model, X)
-    psi = model.psi_t if mediator_arm == TREATED else model.psi_c
-    net = model.head_t if head == TREATED else model.head_c
-    out = np.empty(X.shape[0])
+    psis = {TREATED: model.psi_t, CONTROL: model.psi_c}
+    heads = {TREATED: model.head_t, CONTROL: model.head_c}
+    used = {arm for _, arm in pairs}
+    out = np.empty((len(pairs), X.shape[0]))
     for rows in _row_blocks(X.shape[0]):
         Z, _ = model.phi.forward(X[rows])
-        M, _ = psi.forward(X[rows])
-        out[rows] = net.forward(np.hstack([Z, M]))[0][:, 0]
+        H = {arm: np.hstack([Z, psis[arm].forward(X[rows])[0]])
+             for arm in _ARMS if arm in used}
+        for k, (head, arm) in enumerate(pairs):
+            out[k, rows] = heads[head].forward(H[arm])[0][:, 0]
     return out
+
+
+def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
+    """Batched head evaluation: head(concat(phi(x), psi_arm(x))) per row,
+    three forwards per row block of _row_blocks."""
+    if head not in _ARMS or mediator_arm not in _ARMS:
+        raise ValueError(f"arms must be one of {_ARMS}")
+    return _predict(model, _covariates(model, X), [(head, mediator_arm)])[0]
 
 
 def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
     """Effect estimates at factual status t: decompose_effects of each head's
-    prediction with each arm's mediator representation.
-
-    Per row block of _row_blocks, the three representation nets run once and
-    each head twice, on the same inputs predict_outcomes gives them, so every
-    prediction equals predict_outcomes' bit for bit at any BLAS thread count
-    (and equals one call on all rows only at one thread, as there). The four
-    predictions fill one (4, n) array.
+    prediction with each arm's mediator representation, seven forwards per
+    row block.
     """
     t = np.asarray(t)
     X = _covariates(model, X)
     if X.shape[0] != t.shape[0]:
         raise ValueError("X and t lengths disagree")
-    Y = np.empty((4, X.shape[0]))
-    for rows in _row_blocks(X.shape[0]):
-        Z, M_t, M_c = represent(model, X[rows])
-        H_t, H_c = np.hstack([Z, M_t]), np.hstack([Z, M_c])
-        Y[0, rows], Y[1, rows] = (model.head_t.forward(H)[0][:, 0] for H in (H_t, H_c))
-        Y[2, rows], Y[3, rows] = (model.head_c.forward(H)[0][:, 0] for H in (H_t, H_c))
-    return decompose_effects(*Y, t)
+    pairs = [(h, m) for h in _ARMS for m in _ARMS]  # y1_m1, y1_m0, y0_m1, y0_m0
+    return decompose_effects(*_predict(model, X, pairs), t)
 
 
 def decompose_effects(y1_m1, y1_m0, y0_m1, y0_m0, t) -> EffectEstimates:

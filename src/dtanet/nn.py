@@ -167,20 +167,19 @@ class AdamState:
     temporaries.
     """
 
-    alpha: float = 1e-3
-    beta1: float = 0.8
-    beta2: float = 0.95
-    eps: float = 1e-8
+    alpha: float
+    beta1: float
+    beta2: float
+    eps: float
+    m: np.ndarray
+    v: np.ndarray
+    scratch: np.ndarray = field(repr=False)
     step: int = 0
-    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    scratch: np.ndarray = field(default_factory=lambda: np.zeros((2, 0)), repr=False)
 
 
 def adam_init(theta, alpha=1e-3, beta1=0.8, beta2=0.95, eps=1e-8) -> AdamState:
     size = np.size(theta)
-    return AdamState(alpha=alpha, beta1=beta1, beta2=beta2, eps=eps, step=0,
-                     m=np.zeros(size), v=np.zeros(size),
+    return AdamState(alpha, beta1, beta2, eps, m=np.zeros(size), v=np.zeros(size),
                      scratch=np.empty((2, min(size, _BLOCK_BYTES // 8))))
 
 

@@ -304,6 +304,27 @@ class TestBadInput:
         np.savez(path, **arrays)
         return path
 
+    def test_evaluate_rejects_another_covariate_width(self, workspace, tmp_path, capsys):
+        _, cfg, data, run = workspace
+        narrow = rewritten_csv(data, tmp_path, lambda rows: [r[:5] + r[6:] for r in rows])
+        capsys.readouterr()
+        code = main(["evaluate", "--config", cfg, "--data", narrow,
+                     "--checkpoint", str(run / "checkpoint.npz"),
+                     "--out", str(tmp_path / "eval")])
+        assert code == EXIT_DATA
+        assert only_error_line(capsys) == (
+            f"data error: {narrow}: 5 covariate columns, the checkpoint's model reads 6")
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_checkpoint_with_nets_of_different_input_widths(self, workspace, tmp_path,
+                                                             capsys):
+        def narrow_psi_c(arrays):
+            arrays["psi_c.layer0.weight"] = arrays["psi_c.layer0.weight"][:, :5]
+        ckpt = self._rewritten(workspace, tmp_path, narrow_psi_c)
+        assert self._evaluate(workspace, ckpt, tmp_path, capsys) == (
+            f"data error: {ckpt}: not a usable dtanet checkpoint: "
+            "phi, psi_t and psi_c input widths [6, 6, 5] differ")
+
     def test_checkpoint_not_a_zip(self, workspace, tmp_path, capsys):
         ckpt = tmp_path / "text.npz"
         ckpt.write_text("this is not a checkpoint\n")
@@ -406,7 +427,8 @@ def fail_calls(monkeypatch, failing):
 
 
 class TestTrialLoop:
-    """Every driver trains trial k with seed + k and turns a diverged trial
+    """explain and sensitivity train trial k with seed + k, gridsearch trains
+    every cell at the config's seed, and every driver turns a diverged trial
     into an `error:` row without touching the other trials."""
 
     def _sensitivity(self, tmp_path, name):
@@ -459,6 +481,15 @@ class TestTrialLoop:
         assert code == EXIT_OK
         assert calls == [0, 1, 0, 1, 0, 1]
         assert [r[0] for r in read_rows(out / "explain_distances.csv")[1:]] == ["x2"]
+
+    def test_gridsearch_trains_every_cell_at_the_config_seed(self, workspace, tmp_path,
+                                                             monkeypatch):
+        _, cfg, data, _ = workspace
+        calls = fail_calls(monkeypatch, set())
+        code = main(["gridsearch", "--config", cfg, "--data", data, "--seed", "5",
+                     "--out", str(tmp_path / "grid"), "--grid", "0.1,0.2x0.3,0.45"])
+        assert code == EXIT_OK
+        assert calls == [5, 5, 5, 5]
 
     def test_gridsearch_failed_cell(self, workspace, tmp_path, monkeypatch):
         _, cfg, data, _ = workspace

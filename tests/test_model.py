@@ -308,6 +308,13 @@ class TestModelInvariants:
                         psi_c=nn.init_dense([4, 3], rng),
                         head_t=m.head_t, head_c=m.head_c)
 
+    @pytest.mark.parametrize("net", ["phi", "psi_t", "psi_c"])
+    def test_representation_nets_must_share_input_width(self, net):
+        nets = small_model().bundles()
+        nets[net] = nn.init_dense([5, nets[net].out_dim], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="input widths"):
+            DtanetModel(**nets)
+
     def test_head_width_must_match(self):
         rng = np.random.default_rng(0)
         m = small_model()
