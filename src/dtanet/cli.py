@@ -117,7 +117,8 @@ def cmd_train(args) -> int:
     out = _outdir(args)
     model, trace = _train_on(dataset, train_cfg)
     ckpt = out / "checkpoint.npz"
-    save_checkpoint(ckpt, model, asdict(train_cfg))
+    save_checkpoint(ckpt, model,
+                    {**asdict(train_cfg), "covariate_names": dataset.covariate_names})
     write_rows(out / "trace.csv", [f.name for f in fields(TraceRecord)],
                map(astuple, trace))
     print(f"wrote {ckpt} and {out / 'trace.csv'}")
@@ -132,6 +133,13 @@ def cmd_evaluate(args) -> int:
     if dataset.d != model.in_dim:
         raise DataError(f"{args.data}: {dataset.d} covariate columns, "
                         f"the checkpoint's model reads {model.in_dim}")
+    trained_on = stored_cfg.get("covariate_names")  # absent in older checkpoints
+    if trained_on is not None and trained_on != dataset.covariate_names:
+        j = next(j for j, (a, b) in enumerate(zip(trained_on, dataset.covariate_names))
+                 if a != b)
+        raise DataError(f"{args.data}: covariate column {j + 1} is "
+                        f"{dataset.covariate_names[j]!r}, the checkpoint's model "
+                        f"was trained with {trained_on[j]!r} there")
     out = _outdir(args)
     parts = split(dataset.n, train_cfg.seed)
     rows = []

@@ -109,17 +109,16 @@ def _covariates(model: DtanetModel, X) -> np.ndarray:
 def represent(model: DtanetModel, X):
     """Row-wise representations (Z, M_t, M_c) for covariate matrix X (n, d)."""
     X = _covariates(model, X)
-    Z, _ = model.phi.forward(X)
-    M_t, _ = model.psi_t.forward(X)
-    M_c, _ = model.psi_c.forward(X)
-    return Z, M_t, M_c
+    return tuple(net.forward(X, tape=False)[0]
+                 for net in (model.phi, model.psi_t, model.psi_c))
 
 
 # Inference runs the nets on row blocks of this many rows (the remainder
-# merged into the last block), so that no tape or [Z, M] matrix outgrows a
-# block. At one BLAS thread OpenBLAS gives a row the bits of the whole call,
-# except on its small-matrix dgemm path (in_dim >= 32 and out_dim x rows
-# <= 1200): blocks of 576 rows change the bits of a 2-wide layer, 640 do not.
+# merged into the last block), so that no layer output or [Z, M] matrix
+# outgrows a block. At one BLAS thread OpenBLAS gives a row the bits of the
+# whole call, except on its small-matrix dgemm path (in_dim >= 32 and
+# out_dim x rows <= 1200): blocks of 576 rows change the bits of a 2-wide
+# layer, 640 do not.
 _BLOCK_ROWS = 640
 
 
@@ -138,28 +137,34 @@ def _row_blocks(n):
 def _predict(model: DtanetModel, X, pairs):
     """Head predictions, one row per (head, mediator_arm) pair in pairs.
 
-    Per row block of _row_blocks, phi runs once, then each mediator net that
-    a pair names, then the heads in pair order. At one BLAS thread the result
-    has the bits of one call on all rows; with more threads a fold of
-    2 * _BLOCK_ROWS rows or more can differ in the last bits, since threaded
-    GEMM splits its rows by the size of each call.
+    Per row block of _row_blocks, phi runs once into the left part of one
+    [Z, M] matrix. Then one mediator arm at a time (treated first, each arm
+    that a pair names) has its mediator net fill the right part, and the
+    heads paired with that arm run on it in pair order. No net keeps a tape.
+    At one BLAS thread the result has the bits of one call on all rows; with
+    more threads a fold of 2 * _BLOCK_ROWS rows or more can differ in the
+    last bits, since threaded GEMM splits its rows by the size of each call.
     """
     psis = {TREATED: model.psi_t, CONTROL: model.psi_c}
     heads = {TREATED: model.head_t, CONTROL: model.head_c}
-    used = {arm for _, arm in pairs}
+    r_z = model.rep_dim
     out = np.empty((len(pairs), X.shape[0]))
     for rows in _row_blocks(X.shape[0]):
-        Z, _ = model.phi.forward(X[rows])
-        H = {arm: np.hstack([Z, psis[arm].forward(X[rows])[0]])
-             for arm in _ARMS if arm in used}
-        for k, (head, arm) in enumerate(pairs):
-            out[k, rows] = heads[head].forward(H[arm])[0][:, 0]
+        H = np.empty((rows.stop - rows.start, r_z + model.med_dim))
+        H[:, :r_z] = model.phi.forward(X[rows], tape=False)[0]
+        for arm in _ARMS:
+            ks = [k for k, (_, m) in enumerate(pairs) if m == arm]
+            if not ks:
+                continue
+            H[:, r_z:] = psis[arm].forward(X[rows], tape=False)[0]
+            for k in ks:
+                out[k, rows] = heads[pairs[k][0]].forward(H, tape=False)[0][:, 0]
     return out
 
 
 def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
     """Batched head evaluation: head(concat(phi(x), psi_arm(x))) per row,
-    three forwards per row block of _row_blocks."""
+    three tape-free forwards per row block of _row_blocks."""
     if head not in _ARMS or mediator_arm not in _ARMS:
         raise ValueError(f"arms must be one of {_ARMS}")
     return _predict(model, _covariates(model, X), [(head, mediator_arm)])[0]
@@ -167,8 +172,8 @@ def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
 
 def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
     """Effect estimates at factual status t: decompose_effects of each head's
-    prediction with each arm's mediator representation, seven forwards per
-    row block.
+    prediction with each arm's mediator representation, seven tape-free
+    forwards per row block, one mediator arm at a time.
     """
     t = np.asarray(t)
     X = _covariates(model, X)
@@ -221,8 +226,9 @@ def load_checkpoint(path):
 
     Raises DataError for a file that is not an .npz archive of plain arrays
     (pickled data is refused), for another checkpoint_version, for a stored
-    seed that is not an integer >= 0 (a missing one is fine), and for a
-    missing or malformed network.
+    seed that is not an integer >= 0 (a missing one is fine), for stored
+    covariate_names that are not in_dim distinct strings (missing ones are
+    fine), and for a missing or malformed network.
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -252,7 +258,14 @@ def load_checkpoint(path):
                 if not weights:
                     raise DataError(f"the {name} network is missing")
                 nets[name] = DenseNet(weights, biases)
-        return DtanetModel(**nets), config
+        model = DtanetModel(**nets)
+        names = config.get("covariate_names")
+        if names is not None and not (
+                isinstance(names, list) and all(isinstance(c, str) for c in names)
+                and len(set(names)) == len(names) == model.in_dim):
+            raise DataError(f"stored covariate_names are not {model.in_dim} "
+                            "distinct strings")
+        return model, config
     except (ValueError, KeyError, EOFError, zipfile.BadZipFile) as exc:
         # DataError is a ValueError, and so are np.load's refusal of pickled
         # data, malformed JSON and weights whose shapes do not chain

@@ -7,7 +7,8 @@ the model architecture needs.
 Each net keeps all its parameters in one flat C-ordered vector, theta, laid
 out as [W0, b0, W1, b1, ...] with each array raveled in C order; the weight
 and bias arrays are views into it. backward returns its parameter gradients
-as one flat vector of the same layout, and Adam updates theta in place.
+as one flat vector of the same layout (into a caller's buffer when given),
+and Adam updates theta in place.
 """
 
 from __future__ import annotations
@@ -92,30 +93,38 @@ class DenseNet:
     def copy(self) -> "DenseNet":
         return DenseNet(self.weights, self.biases)
 
-    def forward(self, x):
+    def forward(self, x, tape=True):
         """Run the net on a batch x of shape (n, in_dim).
 
         Returns (output, tape). The tape holds per-layer (input, pre-activation)
-        pairs and is what backward() replays.
+        pairs and is what backward() replays. With tape=False None is returned
+        in its place, and each layer's input and pre-activation are freed as
+        soon as the next array is computed, so at most two layer-sized arrays
+        are alive at once.
         """
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if x.shape[1] != self.in_dim:
             raise ValueError(f"input width {x.shape[1]} != {self.in_dim}")
-        tape = []
+        layers = [] if tape else None
         h = x
         last = self.n_layers - 1
         for k, (w, b) in enumerate(zip(self.weights, self.biases)):
             pre = h @ w.T
             pre += b
-            tape.append((h, pre))
-            h = pre if k == last else elu(pre)
-        return h, tape
+            if layers is not None:
+                layers.append((h, pre))
+            h = pre
+            del pre
+            if k != last:
+                h = elu(h)
+        return h, layers
 
-    def backward(self, tape, upstream, input_grad=True):
+    def backward(self, tape, upstream, input_grad=True, out=None):
         """Exact gradients of a scalar with d(scalar)/d(output) = upstream.
 
-        Returns (grad, input_grad). grad is a new flat vector laid out like
-        theta; split(grad) gives the per-array gradients. With
+        Returns (grad, input_grad). grad is a flat vector laid out like theta,
+        written into out when given (which is then returned) and newly
+        allocated otherwise; split(grad) gives the per-array gradients. With
         input_grad=False the first layer's input gradient, one GEMM the size
         of that layer, is not computed and None is returned in its place.
         """
@@ -125,8 +134,11 @@ class DenseNet:
         n = tape[0][0].shape[0]
         if upstream.shape != (n, self.out_dim):
             raise ValueError(f"upstream shape {upstream.shape} != ({n}, {self.out_dim})")
-        grad = np.empty_like(self.theta)
-        views = self.split(grad)
+        if out is None:
+            out = np.empty_like(self.theta)
+        elif out.shape != self.theta.shape or out.dtype != self.theta.dtype:
+            raise ValueError(f"out must be a float64 vector of length {self.theta.size}")
+        views = self.split(out)
         g = upstream
         last = self.n_layers - 1
         for k in range(last, -1, -1):
@@ -139,7 +151,7 @@ class DenseNet:
             np.matmul(d_pre.T, h_in, out=views[2 * k])
             d_pre.sum(axis=0, out=views[2 * k + 1])
             g = d_pre @ self.weights[k] if k or input_grad else None
-        return grad, g
+        return out, g
 
 
 def init_dense(dims, rng: np.random.Generator) -> DenseNet:
@@ -163,8 +175,9 @@ _BLOCK_BYTES = 256 * 1024
 class AdamState:
     """Adam accumulators of one flat parameter vector.
 
-    m and v have the vector's layout; scratch holds two slices' worth of
-    temporaries.
+    m and v have the vector's layout, and so has grad, a buffer for the
+    gradient of each step (DenseNet.backward's out); scratch holds two
+    slices' worth of temporaries.
     """
 
     alpha: float
@@ -173,6 +186,7 @@ class AdamState:
     eps: float
     m: np.ndarray
     v: np.ndarray
+    grad: np.ndarray = field(repr=False)
     scratch: np.ndarray = field(repr=False)
     step: int = 0
 
@@ -180,6 +194,7 @@ class AdamState:
 def adam_init(theta, alpha=1e-3, beta1=0.8, beta2=0.95, eps=1e-8) -> AdamState:
     size = np.size(theta)
     return AdamState(alpha, beta1, beta2, eps, m=np.zeros(size), v=np.zeros(size),
+                     grad=np.empty(size),
                      scratch=np.empty((2, min(size, _BLOCK_BYTES // 8))))
 
 

@@ -6,7 +6,8 @@ Frobenius norms of the mediator/confounder cross-products, and L_balan the
 entropic transport cost between the two confounding-representation clouds.
 The transport plan is recomputed every mini-batch from the current
 representations and then frozen while gradients are assembled (envelope
-rule), so L_balan contributes only through the cost matrix.
+rule), so L_balan contributes only through the cost matrix. With lambda2 = 0
+no plan is computed and L_balan reads 0.
 
 Gradient routing: the treated mediator net and treated head receive gradients
 only from treated samples, mirrored for the control arm; the confounding net
@@ -114,7 +115,8 @@ def loss_orthogonal(M_t, Z_t, M_c, Z_c) -> float:
     return total
 
 
-def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
+def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
+                      out=None):
     """Assembled per-bundle gradients of the frozen-plan objective.
 
     phi runs once forward and once backward on the stacked batch (treated
@@ -124,8 +126,12 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
     Returns (grads, parts): grads maps bundle name -> flat gradient vector
     laid out like that net's theta (or None when that arm is absent from the
     batch pair); parts carries the loss values, the Sinkhorn residual, and
-    the frozen coupling. A transport cost that is not finite (the
-    representations overflowed) raises FloatingPointError.
+    the frozen coupling. out, when given, maps bundle names to buffers of
+    those layouts, and each gradient is written into its buffer instead of a
+    new vector. With lambda2 = 0 the transport term is skipped: l_balan is 0,
+    and the residual and coupling stay NaN and None. A transport cost that
+    is not finite (the representations overflowed) raises
+    FloatingPointError.
     """
     X_t = np.asarray(X_t, dtype=float).reshape(-1, model.in_dim)
     X_c = np.asarray(X_c, dtype=float).reshape(-1, model.in_dim)
@@ -134,6 +140,7 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
         raise ValueError("both batches are empty")
     r_z = model.rep_dim
     grads = dict.fromkeys(BUNDLES)
+    buffers = out or {}
     parts = {"l_y": 0.0, "l_sim": 0.0, "l_balan": 0.0,
              "sinkhorn_residual": math.nan, "gamma": None}
 
@@ -159,12 +166,16 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
         A = M.T @ Z
         parts["l_sim"] += float(np.sum(A ** 2))
         # the head and mediator net need nothing from the transport plan
-        grads[head_name], d_H = head.backward(tape_head, d_pred[:, None])
+        grads[head_name], d_H = head.backward(tape_head, d_pred[:, None],
+                                              out=buffers.get(head_name))
         dZ_all[rows] = d_H[:, :r_z] + cfg.lambda1 * (2.0 * (M @ A))
         dM = d_H[:, r_z:] + cfg.lambda1 * (2.0 * (Z @ A.T))
-        grads[psi_name], _ = psi.backward(tape_psi, dM, input_grad=False)
+        grads[psi_name], _ = psi.backward(tape_psi, dM, input_grad=False,
+                                          out=buffers.get(psi_name))
+        # free this arm's tapes before the other arm allocates its own
+        del tape_psi, tape_head, M, d_H, dM
 
-    if n_t and n_c:
+    if n_t and n_c and cfg.lambda2 > 0:
         Z_t, Z_c = Z_all[:n_t], Z_all[n_t:]
         C = ot.cost_matrix(Z_c, Z_t)
         if not np.all(np.isfinite(C)):
@@ -178,7 +189,8 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
         d_c, d_t = ot.balancing_gradient(plan, Z_c, Z_t)
         dZ_all[:n_t] += cfg.lambda2 * d_t
         dZ_all[n_t:] += cfg.lambda2 * d_c
-    grads["phi"], _ = model.phi.backward(tape_phi, dZ_all, input_grad=False)
+    grads["phi"], _ = model.phi.backward(tape_phi, dZ_all, input_grad=False,
+                                         out=buffers.get("phi"))
 
     parts["total"] = (parts["l_y"] + cfg.lambda1 * parts["l_sim"]
                       + cfg.lambda2 * parts["l_balan"])
@@ -187,8 +199,12 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig):
 
 def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c,
                cfg: TrainConfig):
-    """One gradient step. Bundles with no samples in the batch are untouched."""
-    grads, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
+    """One gradient step. Bundles with no samples in the batch are untouched.
+
+    Each bundle's gradient is written into its Adam state's grad buffer.
+    """
+    grads, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg,
+                                     out={name: s.grad for name, s in states.items()})
     for name, net in model.bundles().items():
         if grads[name] is not None:
             nn.adam_step(states[name], net.theta, grads[name])
@@ -212,9 +228,11 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
 
     Every epoch runs ceil(max(n_t, n_c) / batch) paired steps, each sampling a
     treated and a control batch, recomputing the Sinkhorn plan on the batch
-    representations, and applying Adam to all five bundles. When val_indices
-    is given, the returned model is the best-validation-outcome-loss snapshot;
-    otherwise the final parameters.
+    representations (unless lambda2 is 0), and applying Adam to all five
+    bundles. When val_indices
+    is given, the returned model is the best-validation-outcome-loss snapshot
+    (one copy of the model, allocated at the first improvement and
+    overwritten at each later one); otherwise the final parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     model = init_model(dataset.d, cfg.rep_dim, cfg.med_dim, cfg.phi_hidden,
@@ -255,7 +273,13 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
             if val_indices is not None and len(val_indices):
                 val_l_y = _validation_outcome_loss(model, dataset, val_indices, cfg.lambda0)
                 if val_l_y < best_val:
-                    best_val, best_model = val_l_y, model.copy()
+                    best_val = val_l_y
+                    if best_model is None:
+                        best_model = model.copy()
+                    else:
+                        for best, net in zip(best_model.bundles().values(),
+                                             model.bundles().values()):
+                            best.theta[:] = net.theta
             trace.append(TraceRecord(
                 epoch=epoch, l_y=sums["l_y"] / steps, l_sim=sums["l_sim"] / steps,
                 l_balan=sums["l_balan"] / steps, total=sums["total"] / steps,

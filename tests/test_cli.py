@@ -353,6 +353,63 @@ class TestBadInput:
         assert "the head_c network is missing" in self._evaluate(
             workspace, ckpt, tmp_path, capsys)
 
+    def test_train_stores_the_covariate_names(self, workspace):
+        *_, run = workspace
+        with np.load(run / "checkpoint.npz") as archive:
+            config = json.loads(str(archive["config_json"]))
+        assert config["covariate_names"] == ["x1", "x2", "x3", "x4", "x5", "x6"]
+
+    @pytest.mark.parametrize("change, column, found, trained", [
+        (lambda r: [r[0], r[2], r[1], *r[3:]], 2, "x3", "x2"),
+        (lambda r: r[:3] + ["z4" if r[3] == "x4" else r[3]] + r[4:], 4, "z4", "x4"),
+    ], ids=["reordered", "renamed"])
+    def test_evaluate_rejects_other_covariate_names(self, workspace, tmp_path, capsys,
+                                                    change, column, found, trained):
+        _, cfg, data, run = workspace
+        other = rewritten_csv(data, tmp_path, lambda rows: [change(r) for r in rows])
+        capsys.readouterr()
+        code = main(["evaluate", "--config", cfg, "--data", other,
+                     "--checkpoint", str(run / "checkpoint.npz"),
+                     "--out", str(tmp_path / "eval")])
+        assert code == EXIT_DATA
+        assert only_error_line(capsys) == (
+            f"data error: {other}: covariate column {column} is {found!r}, "
+            f"the checkpoint's model was trained with {trained!r} there")
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    def test_checkpoint_without_covariate_names_evaluates_as_before(self, workspace,
+                                                                   tmp_path):
+        _, cfg, data, run = workspace
+
+        def forget_names(arrays):
+            config = json.loads(str(arrays["config_json"]))
+            del config["covariate_names"]
+            arrays["config_json"] = np.array(json.dumps(config, sort_keys=True))
+        ckpt = self._rewritten(workspace, tmp_path, forget_names)
+        reordered = rewritten_csv(data, tmp_path,
+                                  lambda rows: [[r[0], r[2], r[1], *r[3:]] for r in rows])
+        for csv_path, out in ((data, "same"), (reordered, "reordered")):
+            assert main(["evaluate", "--config", cfg, "--data", csv_path,
+                         "--checkpoint", str(ckpt),
+                         "--out", str(tmp_path / out)]) == EXIT_OK
+        same = (tmp_path / "same" / "metrics.csv").read_bytes()
+        assert same == (run / "metrics.csv").read_bytes()
+        assert (tmp_path / "reordered" / "metrics.csv").read_bytes() != same
+
+    @pytest.mark.parametrize("names", [
+        '"x1"', '["x1", "x2", "x3", "x4", "x5"]', '["x1", "x2", "x3", "x4", "x5", "x1"]',
+        '["x1", "x2", "x3", "x4", "x5", 6]'])
+    def test_checkpoint_with_malformed_covariate_names(self, workspace, tmp_path, capsys,
+                                                       names):
+        def rename(arrays):
+            config = json.loads(str(arrays["config_json"]))
+            config["covariate_names"] = json.loads(names)
+            arrays["config_json"] = np.array(json.dumps(config, sort_keys=True))
+        ckpt = self._rewritten(workspace, tmp_path, rename)
+        assert self._evaluate(workspace, ckpt, tmp_path, capsys) == (
+            f"data error: {ckpt}: not a usable dtanet checkpoint: "
+            "stored covariate_names are not 6 distinct strings")
+
     @pytest.mark.parametrize("seed", ['"abc"', "3.0", "-1", "true"])
     def test_checkpoint_with_bad_seed(self, workspace, tmp_path, capsys, seed):
         def reseed(arrays):

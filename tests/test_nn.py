@@ -1,6 +1,7 @@
 """Dense-net engine: activations, forward/backward, Adam."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,65 @@ class TestFlatLayout:
         assert not np.shares_memory(twin.theta, net.theta)
         twin.theta += 1.0
         np.testing.assert_array_equal(net.theta, [1.0] * 6 + [0.0] * 2)
+
+
+class TestAllocationFree:
+    """The no-tape forward and backward's out= buffer give the same bits."""
+
+    @pytest.mark.parametrize("dims",
+                             [[100, 200, 200, 1], [25, 32, 32, 32], [6, 4, 4], [3, 2]])
+    def test_forward_without_tape_gives_the_taped_bits(self, dims):
+        rng = np.random.default_rng(dims[1])
+        net = nn.init_dense(dims, rng)
+        for b in net.biases:
+            b += rng.standard_normal(b.shape)
+        X = rng.standard_normal((300, dims[0])) * 3.0
+        kept = X.copy()
+        taped, tape = net.forward(X)
+        out, none = net.forward(X, tape=False)
+        assert none is None and len(tape) == net.n_layers
+        assert_same_bits(out, taped)
+        assert_same_bits(X, kept)
+
+    def test_forward_without_tape_keeps_two_layer_outputs_alive(self):
+        rows, width = 1000, 200
+        net = nn.init_dense([50, width, width, width, width], np.random.default_rng(4))
+        X = np.random.default_rng(5).standard_normal((rows, 50))
+        peaks = []
+        for tape in (False, True):
+            tracemalloc.start()
+            try:
+                net.forward(X, tape=tape)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        layer = rows * width * 8
+        assert peaks[0] < 2 * layer + 64 * 1024
+        assert peaks[1] > 6 * layer
+
+    @pytest.mark.parametrize("input_grad", [True, False])
+    def test_backward_into_out_returns_it_with_the_allocating_bits(self, input_grad):
+        rng = np.random.default_rng(12)
+        net = nn.init_dense([7, 9, 9, 3], rng)
+        X, up = rng.standard_normal((20, 7)), rng.standard_normal((20, 3))
+        _, tape = net.forward(X)
+        want, want_in = net.backward(tape, up, input_grad=input_grad)
+        buf = np.full_like(net.theta, np.nan)
+        got, got_in = net.backward(tape, up, input_grad=input_grad, out=buf)
+        assert got is buf
+        assert_same_bits(got, want)
+        if input_grad:
+            assert_same_bits(got_in, want_in)
+        else:
+            assert got_in is None
+
+    @pytest.mark.parametrize("out",
+                             [np.empty(3), np.empty(200), np.empty(50, dtype=np.float32)])
+    def test_backward_rejects_an_out_of_another_layout(self, out):
+        net = nn.init_dense([5, 6, 2], np.random.default_rng(0))   # 50 parameters
+        _, tape = net.forward(np.ones((4, 5)))
+        with pytest.raises(ValueError, match="length 50"):
+            net.backward(tape, np.ones((4, 2)), out=out)
 
 
 def flat(arrays):

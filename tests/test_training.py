@@ -243,9 +243,9 @@ class TestStackedPhiPass:
         got, _ = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
         original, skipped = nn.DenseNet.backward, []
 
-        def every_input_grad(self, tape, upstream, input_grad=True):
+        def every_input_grad(self, tape, upstream, input_grad=True, out=None):
             skipped.append(not input_grad)
-            return original(self, tape, upstream)
+            return original(self, tape, upstream, out=out)
         monkeypatch.setattr(nn.DenseNet, "backward", every_input_grad)
         want, _ = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
         # phi and each present arm's mediator net skip it; the heads do not
@@ -258,6 +258,97 @@ class TestStackedPhiPass:
                 continue
             np.testing.assert_array_equal(value.view(np.uint64), want[name].view(np.uint64),
                                           err_msg=name)
+
+
+def bundle_bits(grads):
+    return {name: None if g is None else g.tobytes() for name, g in grads.items()}
+
+
+class TestGradientBuffers:
+    """Gradients written into the caller's buffers keep the allocating bits."""
+
+    @pytest.mark.parametrize("n_t, n_c", [(16, 9), (7, 0), (0, 5)])
+    def test_buffers_give_the_allocating_bits(self, n_t, n_c):
+        rng = np.random.default_rng(200 + n_t * 10 + n_c)
+        model = init_model(6, 8, 5, (12, 12), (10,), (9, 9), rng)
+        cfg = tiny_cfg(lambda1=0.3, lambda2=0.7, lambda3=0.5)
+        X_t, X_c = rng.standard_normal((n_t, 6)), rng.standard_normal((n_c, 6))
+        y_t, y_c = rng.standard_normal(n_t), rng.standard_normal(n_c)
+        want, want_parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
+        buffers = {name: np.full_like(net.theta, np.nan)
+                   for name, net in model.bundles().items()}
+        got, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg, out=buffers)
+        assert bundle_bits(got) == bundle_bits(want)
+        assert parts["total"] == want_parts["total"]
+        for name, g in got.items():
+            if g is None:
+                assert np.isnan(buffers[name]).all(), name
+            else:
+                assert g is buffers[name], name
+
+    def test_train_step_fills_the_adam_states_buffers(self):
+        ds, _ = generate(SynthConfig(n=80, d=5, seed=3))
+        model = init_model(ds.d, 4, 3, (5,), (4,), (3,), np.random.default_rng(3))
+        states = {name: nn.adam_init(net.theta) for name, net in model.bundles().items()}
+        buffers = {name: state.grad for name, state in states.items()}
+        cfg = tiny_cfg()
+        bt, bc = np.nonzero(ds.t == 1)[0][:4], np.nonzero(ds.t == 0)[0][:4]
+        for _ in range(3):
+            want, _ = compute_gradients(model, ds.X[bt], ds.y[bt], ds.X[bc], ds.y[bc], cfg)
+            train_step(model, states, ds.X[bt], ds.y[bt], ds.X[bc], ds.y[bc], cfg)
+            assert {name: state.grad for name, state in states.items()} == buffers
+            assert bundle_bits(buffers) == bundle_bits(want)
+
+    def test_best_snapshot_is_one_copy_overwritten_in_place(self, monkeypatch):
+        from dtanet.data import split
+        from dtanet.model import DtanetModel
+
+        ds, _ = generate(SynthConfig(n=120, d=5, seed=1))
+        parts = split(ds.n, 1)
+        copies = []
+        original = DtanetModel.copy
+        monkeypatch.setattr(DtanetModel, "copy",
+                            lambda self: copies.append(self) or original(self))
+        model, trace = train(ds, tiny_cfg(epochs=25, seed=1), parts.train, parts.validation)
+        vals = [r.val_l_y for r in trace]
+        improvements = sum(v < min(vals[:k], default=math.inf) for k, v in enumerate(vals))
+        assert improvements > 1
+        assert len(copies) == 1
+        from dtanet.training import _validation_outcome_loss
+        assert _validation_outcome_loss(model, ds, parts.validation, 0.5) == min(vals)
+
+
+class TestNoTransportAtZeroLambda2:
+    """lambda2 = 0 builds no cost matrix and solves no Sinkhorn plan."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the transport term ran at lambda2 = 0")
+
+    @pytest.mark.parametrize("n_t, n_c", [(16, 9), (7, 0)])
+    def test_compute_gradients_skips_the_transport_term(self, monkeypatch, n_t, n_c):
+        rng = np.random.default_rng(300 + n_t)
+        model = init_model(6, 8, 5, (12, 12), (10,), (9, 9), rng)
+        cfg = tiny_cfg(lambda1=0.3, lambda2=0.0, lambda3=0.5)
+        X_t, X_c = rng.standard_normal((n_t, 6)), rng.standard_normal((n_c, 6))
+        y_t, y_c = rng.standard_normal(n_t), rng.standard_normal(n_c)
+        want = two_pass_gradients(model, X_t, y_t, X_c, y_c, cfg)
+        for name in ("cost_matrix", "sinkhorn", "transport_cost", "balancing_gradient"):
+            monkeypatch.setattr(ot, name, self.refuse)
+        got, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
+        for name, value in got.items():
+            if name in want:
+                np.testing.assert_allclose(value, want[name], rtol=0, atol=1e-12,
+                                           err_msg=name)
+        assert parts["l_balan"] == 0.0 and parts["gamma"] is None
+        assert math.isnan(parts["sinkhorn_residual"])
+        assert parts["total"] == parts["l_y"] + cfg.lambda1 * parts["l_sim"]
+
+    def test_trace_reads_zero_transport(self, monkeypatch):
+        monkeypatch.setattr(ot, "sinkhorn", self.refuse)
+        ds, _ = generate(SynthConfig(n=80, d=5, seed=4))
+        _, trace = train(ds, tiny_cfg(lambda2=0.0, epochs=3))
+        assert [(r.l_balan, r.sinkhorn_residual) for r in trace] == [(0.0, 0.0)] * 3
 
 
 class TestTrain:
@@ -367,8 +458,9 @@ class TestTrain:
         want = loss_outcome(preds[0], y[t == 1], preds[1], y[t == 0], 0.3)
         calls = []
         original = nn.DenseNet.forward
-        monkeypatch.setattr(nn.DenseNet, "forward",
-                            lambda self, x: calls.append(self) or original(self, x))
+        monkeypatch.setattr(
+            nn.DenseNet, "forward",
+            lambda self, x, **kw: calls.append(self) or original(self, x, **kw))
         assert _validation_outcome_loss(model, ds, idx, 0.3) == want
         assert calls == [model.phi, model.psi_t, model.head_t,
                          model.phi, model.psi_c, model.head_c]
