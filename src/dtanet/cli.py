@@ -307,34 +307,35 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Treatment-adaptive network experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, data=False, checkpoint=False):
+    def common(p):
         p.add_argument("--config", help="flat JSON config file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="override the config seed")
-        if data:
-            p.add_argument("--data", help="dataset CSV path")
-        if checkpoint:
-            p.add_argument("--checkpoint", required=True)
 
     p = sub.add_parser("generate", help="write a synthetic dataset CSV")
     common(p)
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("train", help="train a model, write checkpoint + trace")
-    common(p, data=True)
-    p.set_defaults(func=cmd_train, require_data=True)
+    common(p)
+    p.add_argument("--data", required=True, help="dataset CSV path")
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="metrics on validation and test splits")
-    common(p, data=True, checkpoint=True)
-    p.set_defaults(func=cmd_evaluate, require_data=True)
+    common(p)
+    p.add_argument("--data", required=True, help="dataset CSV path")
+    p.add_argument("--checkpoint", required=True)
+    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("gridsearch", help="grid over (lambda1, lambda2)")
-    common(p, data=True)
+    common(p)
+    p.add_argument("--data", required=True, help="dataset CSV path")
     p.add_argument("--grid", help="grid spec like '0.1,0.2x0.3,0.45'")
-    p.set_defaults(func=cmd_gridsearch, require_data=True)
+    p.set_defaults(func=cmd_gridsearch)
 
     p = sub.add_parser("explain", help="covariate-exclusion effect distributions")
-    common(p, data=True)
+    common(p)
+    p.add_argument("--data", help="dataset CSV path; synthetic draws when absent")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--exclude", action="append",
                    help="covariate name(s) to drop jointly, comma-separated; repeatable")
@@ -352,9 +353,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "require_data", False) and not args.data:
-        print("error: --data is required for this subcommand", file=sys.stderr)
-        return EXIT_USAGE
     try:
         return args.func(args)
     except UsageError as exc:

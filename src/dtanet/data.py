@@ -50,13 +50,15 @@ class DataError(ValueError):
 
 def check_config(cfg):
     """Store NumPy scalars as Python numbers; raise ValueError where an int
-    field holds no integer or a float field no finite number (an int will do)."""
+    field holds no integer or a float field no finite number (an int will do,
+    a bool will not)."""
     for f in fields(cfg):
         v = getattr(cfg, f.name)
         if isinstance(v, np.generic):
             setattr(cfg, f.name, v := v.item())
         kind = {"int": numbers.Integral, "float": numbers.Real}.get(f.type)
-        if kind and not (isinstance(v, kind) and abs(v) <= sys.float_info.max):
+        if kind and (isinstance(v, bool) or not isinstance(v, kind)
+                     or not abs(v) <= sys.float_info.max):
             raise ValueError(f"{f.name} must be a finite {f.type}, got {v!r}")
 
 
@@ -103,6 +105,14 @@ class ObservationalDataset:
             self.covariate_names = [f"x{j + 1}" for j in range(self.X.shape[1])]
         if len(self.covariate_names) != self.X.shape[1]:
             raise DataError("covariate names do not match X width")
+        # each name must read back from write_csv's header as a covariate
+        seen = set()
+        for c in self.covariate_names:
+            if c in ("t", "y", *GT_COLUMNS):
+                raise DataError(f"covariate name {c!r} is reserved for another column")
+            if c in seen:
+                raise DataError(f"duplicate covariate name {c!r}")
+            seen.add(c)
 
     @property
     def n(self) -> int:
@@ -371,7 +381,6 @@ class SplitIndices:
     train: np.ndarray
     validation: np.ndarray
     test: np.ndarray
-    seed: int
 
 
 def split(n: int, seed: int) -> SplitIndices:
@@ -383,7 +392,7 @@ def split(n: int, seed: int) -> SplitIndices:
     n_val = int(0.2 * (n - n_test))
     return SplitIndices(train=perm[n_test + n_val:],
                         validation=perm[n_test:n_test + n_val],
-                        test=perm[:n_test], seed=seed)
+                        test=perm[:n_test])
 
 
 def arm_pools(dataset: ObservationalDataset, indices):

@@ -17,11 +17,11 @@ import numpy as np
 
 @dataclass
 class TransportPlan:
-    """Coupling gamma with its target marginals and convergence diagnostics."""
+    """Coupling gamma with its marginals and convergence diagnostics."""
 
     gamma: np.ndarray        # (n_c, n_t), nonnegative, sums to 1
-    p: np.ndarray            # target row marginal
-    q: np.ndarray            # target column marginal
+    p: np.ndarray            # row marginal the plan was solved for
+    q: np.ndarray            # column marginal the plan was solved for
     iterations: int
     residual: float          # inf-norm column-marginal violation at exit
     converged: bool
@@ -47,19 +47,19 @@ def cost_matrix(Z_c, Z_t) -> np.ndarray:
     return C
 
 
-def sinkhorn(C, reg, p=None, q=None, max_iter=1000, tol=1e-6,
-             log_domain=True) -> TransportPlan:
+def sinkhorn(C, reg, max_iter=1000, tol=1e-6, log_domain=True) -> TransportPlan:
     """Entropy-regularized transport plan via log-domain Sinkhorn iterations.
 
     reg is the inverse temperature multiplying the cost in the kernel
-    exp(-reg * C). Marginals default to uniform. Each iteration updates the
-    dual potentials g = log q - LSE_i(-reg C + f) and then
-    f = log p - LSE_j(-reg C + g), every log-sum-exp shifted by its maximum.
-    After the f-update the row marginal is exact up to rounding, so only the
-    column marginal is tested: iterations stop once its inf-norm violation
-    drops below tol or max_iter is hit, and the plan is returned either way
-    with that residual recorded. gamma is the f-update's exponentials
-    rescaled by p / (their row sums), with no further exp.
+    exp(-reg * C). The marginals p and q are uniform over the rows and the
+    columns of C. Each iteration updates the dual potentials
+    g = log q - LSE_i(-reg C + f) and then f = log p - LSE_j(-reg C + g),
+    every log-sum-exp shifted by its maximum. After the f-update the row
+    marginal is exact up to rounding, so only the column marginal is tested:
+    iterations stop once its inf-norm violation drops below tol or max_iter
+    is hit, and the plan is returned either way with that residual recorded.
+    gamma is the f-update's exponentials rescaled by p / (their row sums),
+    with no further exp.
 
     log_domain is kept for callers that name the solver; it must be True.
     """
@@ -78,14 +78,7 @@ def sinkhorn(C, reg, p=None, q=None, max_iter=1000, tol=1e-6,
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
     n_c, n_t = C.shape
-    p = np.full(n_c, 1.0 / n_c) if p is None else np.asarray(p, dtype=float)
-    q = np.full(n_t, 1.0 / n_t) if q is None else np.asarray(q, dtype=float)
-    if p.shape != (n_c,) or q.shape != (n_t,):
-        raise ValueError("marginal shapes do not match the cost matrix")
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise ValueError("marginals must be strictly positive")
-    if abs(p.sum() - 1.0) > 1e-9 or abs(q.sum() - 1.0) > 1e-9:
-        raise ValueError("marginals must each sum to 1")
+    p, q = np.full(n_c, 1.0 / n_c), np.full(n_t, 1.0 / n_t)
 
     logK = C * -reg
     p_col = p[:, None]

@@ -68,7 +68,8 @@ class TrainConfig:
             raise ValueError("beta1 and beta2 must lie in [0, 1)")
         for name in ("phi_hidden", "psi_hidden", "head_hidden"):
             widths = tuple(getattr(self, name))
-            if not all(isinstance(w, numbers.Integral) and w >= 1 for w in widths):
+            if not all(isinstance(w, numbers.Integral) and not isinstance(w, bool)
+                       and w >= 1 for w in widths):
                 raise ValueError(f"{name} widths must be integers >= 1, got {widths}")
             setattr(self, name, tuple(map(int, widths)))
 
@@ -216,10 +217,10 @@ def _validation_outcome_loss(model: DtanetModel, dataset, idx, lambda0: float) -
 
     Six net forwards: phi, psi and the head on each arm's rows.
     """
-    X, t, y = dataset.X[idx], dataset.t[idx], dataset.y[idx]
-    pred_t = predict_outcomes(model, X[t == 1], "treated", "treated")
-    pred_c = predict_outcomes(model, X[t == 0], "control", "control")
-    return loss_outcome(pred_t, y[t == 1], pred_c, y[t == 0], lambda0)
+    pool_t, pool_c = arm_pools(dataset, idx)
+    pred_t = predict_outcomes(model, dataset.X[pool_t], "treated", "treated")
+    pred_c = predict_outcomes(model, dataset.X[pool_c], "control", "control")
+    return loss_outcome(pred_t, dataset.y[pool_t], pred_c, dataset.y[pool_c], lambda0)
 
 
 def train(dataset: ObservationalDataset, cfg: TrainConfig,
@@ -229,10 +230,8 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
     Every epoch runs ceil(max(n_t, n_c) / batch) paired steps, each sampling a
     treated and a control batch, recomputing the Sinkhorn plan on the batch
     representations (unless lambda2 is 0), and applying Adam to all five
-    bundles. When val_indices
-    is given, the returned model is the best-validation-outcome-loss snapshot
-    (one copy of the model, allocated at the first improvement and
-    overwritten at each later one); otherwise the final parameters.
+    bundles. When val_indices is given, the returned model is a copy taken
+    at the best validation outcome loss; otherwise the final parameters.
     """
     rng = np.random.default_rng(cfg.seed)
     model = init_model(dataset.d, cfg.rep_dim, cfg.med_dim, cfg.phi_hidden,
@@ -273,13 +272,7 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
             if val_indices is not None and len(val_indices):
                 val_l_y = _validation_outcome_loss(model, dataset, val_indices, cfg.lambda0)
                 if val_l_y < best_val:
-                    best_val = val_l_y
-                    if best_model is None:
-                        best_model = model.copy()
-                    else:
-                        for best, net in zip(best_model.bundles().values(),
-                                             model.bundles().values()):
-                            best.theta[:] = net.theta
+                    best_model, best_val = model.copy(), val_l_y
             trace.append(TraceRecord(
                 epoch=epoch, l_y=sums["l_y"] / steps, l_sim=sums["l_sim"] / steps,
                 l_balan=sums["l_balan"] / steps, total=sums["total"] / steps,

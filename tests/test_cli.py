@@ -92,8 +92,14 @@ class TestExitCodes:
             main(["frobnicate"])
         assert exc.value.code == EXIT_USAGE
 
-    def test_missing_data_flag(self, tmp_path):
-        assert main(["train", "--out", str(tmp_path)]) == EXIT_USAGE
+    def test_missing_data_flag(self, tmp_path, capsys):
+        for argv in (["train"], ["gridsearch"],
+                     ["evaluate", "--checkpoint", str(tmp_path / "c.npz")]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--out", str(tmp_path / "out")])
+            assert exc.value.code == EXIT_USAGE
+            assert "required: --data" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_config_key(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -730,6 +736,11 @@ class TestValueChecks:
         ("generate", {"d": 6.5}, []),
         ("generate", {"seed": -2}, []),
         ("generate", {"a": "x"}, []),
+        ("generate", {"seed": True}, []),
+        ("train", {"seed": True}, []),
+        ("train", {"epochs": True}, []),
+        ("train", {"psi_hidden": [True]}, []),
+        ("train", {"lambda1": False}, []),
     ])
     def test_invalid_config_value(self, workspace, tmp_path, capsys, command, extra, argv):
         _, _, data, _ = workspace

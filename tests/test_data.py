@@ -85,6 +85,18 @@ class TestDatasetValidation:
         ds = toy_dataset(d=3)
         assert ds.covariate_names == ["x1", "x2", "x3"]
 
+    @pytest.mark.parametrize("names, message", [
+        (["x1", "x2", "x1"], "duplicate covariate name 'x1'"),
+        (["x1", "t", "x3"], "covariate name 't' is reserved"),
+        (["y", "x2", "x3"], "covariate name 'y' is reserved"),
+        (["x1", "x2", "gt_y0"], "covariate name 'gt_y0' is reserved"),
+        (["gt_m1", "x2", "x3"], "covariate name 'gt_m1' is reserved"),
+    ])
+    def test_names_that_would_not_load_back_rejected(self, names, message):
+        with pytest.raises(DataError, match=message):
+            ObservationalDataset(X=np.ones((2, 3)), t=[0, 1], y=[0.0, 1.0],
+                                 covariate_names=names)
+
     def test_true_ite_requires_ground_truth(self):
         with pytest.raises(DataError):
             toy_dataset().true_ite()

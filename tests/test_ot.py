@@ -69,15 +69,13 @@ class TestSinkhorn:
     def test_marginal_feasibility(self):
         rng = np.random.default_rng(5)
         C = rng.uniform(0, 3, size=(4, 3))
-        p = rng.uniform(0.5, 1, 4)
-        p /= p.sum()
-        q = rng.uniform(0.5, 1, 3)
-        q /= q.sum()
-        plan = ot.sinkhorn(C, reg=5.0, p=p, q=q, tol=1e-8)
+        plan = ot.sinkhorn(C, reg=5.0, tol=1e-8)
         assert plan.converged
         assert plan.residual < 1e-8
-        np.testing.assert_allclose(plan.gamma.sum(axis=1), p, atol=1e-7)
-        np.testing.assert_allclose(plan.gamma.sum(axis=0), q, atol=1e-7)
+        np.testing.assert_array_equal(plan.p, np.full(4, 1 / 4))
+        np.testing.assert_array_equal(plan.q, np.full(3, 1 / 3))
+        np.testing.assert_allclose(plan.gamma.sum(axis=1), plan.p, atol=1e-7)
+        np.testing.assert_allclose(plan.gamma.sum(axis=0), plan.q, atol=1e-7)
         assert np.all(plan.gamma >= 0)
         assert plan.gamma.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -146,11 +144,6 @@ def reference_sinkhorn(C, reg, p, q, max_iter, tol):
     return gamma, it
 
 
-def random_marginal(rng, n):
-    m = rng.uniform(0.05, 1.0, n)
-    return m / m.sum()
-
-
 class TestSinkhornReference:
     """The inline log-sum-exp iterations against the scipy reference above."""
 
@@ -163,9 +156,9 @@ class TestSinkhornReference:
         rng = np.random.default_rng(13)
         for n_c, n_t in ((1, 1), (1, 5), (4, 3), (7, 7), (64, 40)):
             C = rng.uniform(0.0, scale, size=(n_c, n_t))
-            p, q = random_marginal(rng, n_c), random_marginal(rng, n_t)
+            p, q = np.full(n_c, 1 / n_c), np.full(n_t, 1 / n_t)
             want, iters = reference_sinkhorn(C, reg, p, q, max_iter, 1e-9)
-            plan = ot.sinkhorn(C, reg, p=p, q=q, max_iter=max_iter, tol=1e-9)
+            plan = ot.sinkhorn(C, reg, max_iter=max_iter, tol=1e-9)
             assert plan.iterations == iters
             np.testing.assert_allclose(plan.gamma, want, rtol=0, atol=1e-12)
             col = np.max(np.abs(plan.gamma.sum(axis=0) - q))
@@ -174,10 +167,10 @@ class TestSinkhornReference:
     def test_row_marginal_exact_after_every_iteration(self):
         rng = np.random.default_rng(14)
         C = rng.uniform(0, 3, size=(6, 9))
-        p, q = random_marginal(rng, 6), random_marginal(rng, 9)
         for max_iter in (1, 2, 5):
-            plan = ot.sinkhorn(C, 5.0, p=p, q=q, max_iter=max_iter, tol=1e-14)
-            np.testing.assert_allclose(plan.gamma.sum(axis=1), p, rtol=1e-14, atol=0)
+            plan = ot.sinkhorn(C, 5.0, max_iter=max_iter, tol=1e-14)
+            np.testing.assert_allclose(plan.gamma.sum(axis=1), np.full(6, 1 / 6),
+                                       rtol=1e-14, atol=0)
 
     def test_bad_max_iter_rejected(self):
         with pytest.raises(ValueError):

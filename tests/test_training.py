@@ -299,24 +299,6 @@ class TestGradientBuffers:
             assert {name: state.grad for name, state in states.items()} == buffers
             assert bundle_bits(buffers) == bundle_bits(want)
 
-    def test_best_snapshot_is_one_copy_overwritten_in_place(self, monkeypatch):
-        from dtanet.data import split
-        from dtanet.model import DtanetModel
-
-        ds, _ = generate(SynthConfig(n=120, d=5, seed=1))
-        parts = split(ds.n, 1)
-        copies = []
-        original = DtanetModel.copy
-        monkeypatch.setattr(DtanetModel, "copy",
-                            lambda self: copies.append(self) or original(self))
-        model, trace = train(ds, tiny_cfg(epochs=25, seed=1), parts.train, parts.validation)
-        vals = [r.val_l_y for r in trace]
-        improvements = sum(v < min(vals[:k], default=math.inf) for k, v in enumerate(vals))
-        assert improvements > 1
-        assert len(copies) == 1
-        from dtanet.training import _validation_outcome_loss
-        assert _validation_outcome_loss(model, ds, parts.validation, 0.5) == min(vals)
-
 
 class TestNoTransportAtZeroLambda2:
     """lambda2 = 0 builds no cost matrix and solves no Sinkhorn plan."""
