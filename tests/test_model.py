@@ -253,13 +253,14 @@ def split_layer_diffs():
     return diffs
 
 
-def at_one_blas_thread(function):
-    """function() of this module, run in a Python whose BLAS has one thread."""
+def at_blas_threads(threads, module, function):
+    """module.function() of the tests, run in a Python whose BLAS has this
+    many threads; what it printed."""
     here = Path(__file__).resolve().parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join([str(here.parent / "src"), str(here)]))
     proc = subprocess.run(
-        [sys.executable, "-c", f"import test_model; print(test_model.{function}())"],
+        [sys.executable, "-c", f"import {module}; print({module}.{function}())"],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.strip()
@@ -267,11 +268,12 @@ def at_one_blas_thread(function):
 
 class TestRowBlocks:
     def test_estimates_keep_the_unblocked_bits_at_one_blas_thread(self):
-        assert at_one_blas_thread("block_rule_mismatches") == "[]"
+        assert at_blas_threads(1, "test_model", "block_rule_mismatches") == "[]"
 
     def test_a_576_row_split_changes_bits_and_a_640_row_split_does_not(self):
         """The small-matrix GEMM path makes the block size matter."""
-        split_576, split_640 = json.loads(at_one_blas_thread("split_layer_diffs"))
+        split_576, split_640 = json.loads(
+            at_blas_threads(1, "test_model", "split_layer_diffs"))
         assert split_576 > 0 and split_640 == 0
 
     @pytest.mark.parametrize("n", [1500, 4001])

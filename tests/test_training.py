@@ -2,17 +2,24 @@
 
 import json
 import math
+import os
+import signal
+import sys
+import threading
+import time
+import warnings
 from dataclasses import asdict, astuple, fields, replace
 
 import numpy as np
 import pytest
 
-from dtanet import nn, ot
+from dtanet import nn, ot, training
 from dtanet.model import init_model, load_checkpoint, save_checkpoint
 from dtanet.synth import SynthConfig, generate
 from dtanet.data import DataError, write_rows
 from dtanet.training import (TraceRecord, TrainConfig, compute_gradients,
                              loss_orthogonal, loss_outcome, train, train_step)
+from test_model import at_blas_threads
 
 TINY = dict(rep_dim=2, med_dim=2, phi_hidden=(2,), psi_hidden=(2,), head_hidden=(2,))
 
@@ -43,6 +50,39 @@ class TestLossOutcome:
 
     def test_empty_arm_contributes_zero(self):
         assert loss_outcome([], [], [2.0], [0.0], 0.5) == pytest.approx(2.0)
+
+
+class TestOutcomeLengths:
+    """An arm's outcomes must number its rows; nothing broadcasts."""
+
+    @pytest.mark.parametrize("arm, n_y", [("treated", 1), ("treated", 2), ("control", 5)])
+    def test_compute_gradients_names_the_arm_and_both_lengths(self, arm, n_y):
+        rng = np.random.default_rng(11)
+        X_t, X_c = rng.standard_normal((4, 3)), rng.standard_normal((3, 3))
+        y = {"treated": np.zeros(4), "control": np.zeros(3)}
+        y[arm] = np.ones(n_y)
+        rows = {"treated": 4, "control": 3}[arm]
+        message = f"^{arm} arm: {n_y} outcomes for {rows} rows$"
+        with pytest.raises(ValueError, match=message):
+            compute_gradients(tiny_model(), X_t, y["treated"], X_c, y["control"],
+                              tiny_cfg())
+
+    @pytest.mark.parametrize("arm, n_y", [("treated", 1), ("control", 3)])
+    def test_loss_outcome_names_the_arm_and_both_lengths(self, arm, n_y):
+        args = {"treated": ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0]),
+                "control": ([1.0, 2.0], [1.0, 2.0])}
+        pred = args[arm][0]
+        args[arm] = (pred, [1.0] * n_y)
+        message = f"^{arm} arm: {n_y} outcomes for {len(pred)} rows$"
+        with pytest.raises(ValueError, match=message):
+            loss_outcome(*args["treated"], *args["control"], 0.5)
+
+    def test_checked_before_the_worker_starts(self):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError, match="treated arm: 1 outcomes for 4 rows"):
+            compute_gradients(tiny_model(), rng.standard_normal((4, 3)), [1.0],
+                              rng.standard_normal((3, 3)), np.zeros(3), tiny_cfg(),
+                              worker=RefusingWorker())
 
 
 class TestLossOrthogonal:
@@ -463,3 +503,176 @@ class TestTrain:
         init_m, _ = train(ds, replace(cfg, epochs=0))
         final_m, _ = train(ds, cfg)
         assert overlap(final_m) < overlap(init_m)
+
+
+class RefusingWorker:
+    """An executor that fails any test that hands it a job."""
+
+    def submit(self, *args, **kwargs):
+        raise AssertionError("the worker was used")
+
+
+def worker():
+    """This process's worker thread."""
+    return training._executor(os.getpid())
+
+
+def force_two_threads(monkeypatch):
+    """Open train's gate to the worker thread, whatever the model, BLAS and CPUs."""
+    monkeypatch.setattr(training, "_TWO_THREAD_WORK", 0)
+    monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def step_model():
+    return init_model(6, 8, 5, (12, 12), (10,), (9, 9), np.random.default_rng(400))
+
+
+def adam_states(model):
+    return {name: nn.adam_init(net.theta) for name, net in model.bundles().items()}
+
+
+def step_bits(model, states, parts):
+    """Everything a step leaves behind, as bytes."""
+    return ({name: net.theta.tobytes() for name, net in model.bundles().items()},
+            {name: (s.m.tobytes(), s.v.tobytes(), s.step) for name, s in states.items()},
+            {k: v.tobytes() if isinstance(v, np.ndarray) else v for k, v in parts.items()})
+
+
+def gate_at_default_width():
+    """training._step_worker's verdict on a default-width model and batch."""
+    cfg = TrainConfig()
+    model = init_model(100, cfg.rep_dim, cfg.med_dim, cfg.phi_hidden, cfg.psi_hidden,
+                       cfg.head_hidden, np.random.default_rng(0))
+    return training._step_worker(model, cfg.batch_size_t) is not None
+
+
+class TestTwoThreadStep:
+    """The treated arm on the worker thread gives the serial path's bits."""
+
+    @pytest.mark.parametrize("overrides", [{}, {"lambda2": 0.0}, {"lambda1": 0.0}])
+    def test_steps_match_the_serial_path_bit_for_bit(self, overrides):
+        """Also with the interpreter switching threads every microsecond."""
+        cfg = tiny_cfg(**{"lambda1": 0.3, "lambda2": 0.7, "lambda3": 0.5, **overrides})
+        rng = np.random.default_rng(401)
+        serial, threaded = step_model(), step_model()
+        s_states, t_states = adam_states(serial), adam_states(threaded)
+        interval = sys.getswitchinterval()
+        try:
+            for step in range(8):
+                sys.setswitchinterval(1e-6 if step % 2 else interval)
+                X_t, X_c = rng.standard_normal((16, 6)), rng.standard_normal((9, 6))
+                y_t, y_c = rng.standard_normal(16), rng.standard_normal(9)
+                want = train_step(serial, s_states, X_t, y_t, X_c, y_c, cfg)
+                got = train_step(threaded, t_states, X_t, y_t, X_c, y_c, cfg,
+                                 worker())
+                assert (step_bits(threaded, t_states, got)
+                        == step_bits(serial, s_states, want))
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("overrides", [{}, {"lambda2": 0.0}, {"lambda1": 0.0}])
+    def test_training_matches_the_serial_path_bit_for_bit(self, monkeypatch, overrides):
+        ds, _ = generate(SynthConfig(n=80, d=5, seed=6))
+        cfg = tiny_cfg(epochs=4, **overrides)
+        idx = np.arange(ds.n)
+        want_model, want_trace = train(ds, cfg, idx[:60], idx[60:])
+        force_two_threads(monkeypatch)
+        model, trace = train(ds, cfg, idx[:60], idx[60:])
+        assert [replace(r, seconds=0.0) for r in trace] == \
+            [replace(r, seconds=0.0) for r in want_trace]
+        for name, net in model.bundles().items():
+            assert net.theta.tobytes() == want_model.bundles()[name].theta.tobytes(), name
+
+    @pytest.mark.parametrize("n_t, n_c", [(7, 0), (0, 5)])
+    def test_one_arm_batches_stay_on_the_calling_thread(self, n_t, n_c):
+        cfg = tiny_cfg(lambda1=0.3, lambda2=0.7, lambda3=0.5)
+        rng = np.random.default_rng(402)
+        X_t, X_c = rng.standard_normal((n_t, 6)), rng.standard_normal((n_c, 6))
+        y_t, y_c = rng.standard_normal(n_t), rng.standard_normal(n_c)
+        serial, inline = step_model(), step_model()
+        s_states, i_states = adam_states(serial), adam_states(inline)
+        want = train_step(serial, s_states, X_t, y_t, X_c, y_c, cfg)
+        got = train_step(inline, i_states, X_t, y_t, X_c, y_c, cfg, RefusingWorker())
+        assert step_bits(inline, i_states, got) == step_bits(serial, s_states, want)
+
+    @pytest.mark.parametrize("owner, name", [(training, "_arm_pass"), (nn, "adam_step")])
+    def test_worker_failure_reaches_the_caller_and_the_next_step_runs(
+            self, monkeypatch, owner, name):
+        """A failure in either job the worker runs: the treated arm or the updates."""
+        original, failed = getattr(owner, name), []
+
+        def failing_on_the_worker(*args, **kwargs):
+            if threading.current_thread().name.startswith("dtanet-arm") and not failed:
+                failed.append(name)
+                raise FloatingPointError("injected")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, failing_on_the_worker)
+        cfg = tiny_cfg(lambda1=0.3, lambda2=0.7, lambda3=0.5)
+        rng = np.random.default_rng(403)
+        model = step_model()
+        states = adam_states(model)
+        X_t, X_c = rng.standard_normal((16, 6)), rng.standard_normal((9, 6))
+        y_t, y_c = rng.standard_normal(16), rng.standard_normal(9)
+        with pytest.raises(FloatingPointError, match="injected"):
+            train_step(model, states, X_t, y_t, X_c, y_c, cfg, worker())
+        assert failed == [name]
+        parts = train_step(model, states, X_t, y_t, X_c, y_c, cfg, worker())
+        assert math.isfinite(parts["total"])
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_worker(self, monkeypatch):
+        force_two_threads(monkeypatch)
+        ds, _ = generate(SynthConfig(n=80, d=5, seed=8))
+        cfg = tiny_cfg(epochs=1)
+        train(ds, cfg)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                train(ds, cfg)
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while not (status := os.waitpid(pid, os.WNOHANG))[0]:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child's training did not finish in 30 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_diverging_training_warns_on_neither_thread(self, monkeypatch):
+        force_two_threads(monkeypatch)
+        ds, _ = generate(SynthConfig(n=80, d=5, seed=7))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(FloatingPointError):
+                train(ds, tiny_cfg(alpha=1e200, epochs=3))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestTwoThreadGate:
+    """train takes the worker only where it can pay off."""
+
+    def test_default_width_at_one_blas_thread_uses_the_worker(self):
+        if len(os.sched_getaffinity(0)) < 2:
+            pytest.skip("needs two CPUs")
+        assert at_blas_threads(1, "test_training", "gate_at_default_width") == "True"
+
+    def test_two_blas_threads_stay_serial(self):
+        assert at_blas_threads(2, "test_training", "gate_at_default_width") == "False"
+
+    def test_one_cpu_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert not gate_at_default_width()
+
+    def test_narrow_nets_stay_serial(self, monkeypatch):
+        monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        model = init_model(25, 32, 32, (32, 32), (32, 32), (32, 32),
+                           np.random.default_rng(0))
+        assert training._step_worker(model, 64) is None
+        assert gate_at_default_width()
