@@ -657,8 +657,8 @@ class TestTwoThreadGate:
     """train takes the worker only where it can pay off."""
 
     def test_default_width_at_one_blas_thread_uses_the_worker(self):
-        if len(os.sched_getaffinity(0)) < 2:
-            pytest.skip("needs two CPUs")
+        if len(os.sched_getaffinity(0)) < 2 or training._blas_threads() is None:
+            pytest.skip("needs two CPUs and NumPy's own OpenBLAS")
         assert at_blas_threads(1, "test_training", "gate_at_default_width") == "True"
 
     def test_two_blas_threads_stay_serial(self):
