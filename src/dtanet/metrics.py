@@ -33,13 +33,14 @@ def pehe(est_ite, true_ite) -> float:
 
 
 def effect_report(est, t, true_ite=None, truth=None) -> MetricsReport:
-    """Every metric an EffectEstimates bundle supports against the truth given.
+    """Every metric an estimate bundle supports against the truth given.
 
-    t is the factual treatment vector (it defines ATT and the conditioning of
-    MTE/DTE). true_ite, or the ite of a GroundTruth's effects(t), sets root
-    PEHE and the ATE/ATT errors (ATT stays None without treated rows); a
-    GroundTruth also sets the MTE/DTE errors. Policy risk needs the factual predictions
-    est.pred_t and est.pred_c.
+    est is a model.FactualEstimates, or an EffectEstimates where a GroundTruth
+    is given. t is the factual treatment vector (it defines ATT and the
+    conditioning of MTE/DTE). true_ite, or the ite of a GroundTruth's
+    effects(t), sets root PEHE and the ATE/ATT errors (ATT stays None without
+    treated rows); a GroundTruth also sets the MTE/DTE errors from est.ame and
+    est.ade. Policy risk needs the factual predictions est.pred_t and est.pred_c.
     """
     t = np.asarray(t)
     report = MetricsReport()

@@ -6,7 +6,9 @@ outcome heads (head_t, head_c). Heads consume the concatenation of the
 confounding representation with one mediator representation; swapping the
 mediator arm fed to a fixed head realizes the counterfactual mediator.
 decompose_effects splits an effect into its mediated and direct parts, for
-the heads' predictions and for the generator's potential outcomes alike.
+the heads' predictions and for the generator's potential outcomes alike;
+factual_effects is its part that needs no counterfactual mediator, and
+estimate_factual_effects runs only the forwards that part reads.
 """
 
 from __future__ import annotations
@@ -68,24 +70,31 @@ class DtanetModel:
 
 
 @dataclass
-class EffectEstimates:
-    """Per-individual effects plus their population aggregates.
+class FactualEstimates:
+    """Effects from the two factual-world outcomes alone: y(1, m(1)) and
+    y(0, m(0)) per individual, with their population aggregates."""
+
+    ite: np.ndarray
+    ate: float
+    att: float
+    pred_t: np.ndarray | None = None   # y(1, m(1)): treated head, treated mediator
+    pred_c: np.ndarray | None = None   # y(0, m(0)): control head, control mediator
+
+
+@dataclass(kw_only=True)
+class EffectEstimates(FactualEstimates):
+    """FactualEstimates plus the mediated and direct parts of each effect.
 
     mte_at_t / dte_at_t condition on each individual's factual treatment
     status; dte_at_other holds the mediator at the counterfactual arm, so that
     ite = mte_at_t + dte_at_other per individual.
     """
 
-    ite: np.ndarray
     mte_at_t: np.ndarray
     dte_at_t: np.ndarray
     dte_at_other: np.ndarray
-    ate: float
-    att: float
     ame: float
     ade: float
-    pred_t: np.ndarray | None = None   # y(1, m(1)): treated head, treated mediator
-    pred_c: np.ndarray | None = None   # y(0, m(0)): control head, control mediator
 
 
 def init_model(d, rep_dim, med_dim, phi_hidden, psi_hidden, head_hidden,
@@ -104,13 +113,6 @@ def _covariates(model: DtanetModel, X) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != model.in_dim:
         raise ValueError(f"covariate width {X.shape} != {model.in_dim}")
     return X
-
-
-def represent(model: DtanetModel, X):
-    """Row-wise representations (Z, M_t, M_c) for covariate matrix X (n, d)."""
-    X = _covariates(model, X)
-    return tuple(net.forward(X, tape=False)[0]
-                 for net in (model.phi, model.psi_t, model.psi_c))
 
 
 # Inference runs the nets on row blocks of this many rows (the remainder
@@ -140,7 +142,11 @@ def _predict(model: DtanetModel, X, pairs):
     Per row block of _row_blocks, phi runs once into the left part of one
     [Z, M] matrix. Then one mediator arm at a time (treated first, each arm
     that a pair names) has its mediator net fill the right part, and the
-    heads paired with that arm run on it in pair order. No net keeps a tape.
+    heads paired with that arm run on it in pair order. No net keeps a tape,
+    and a block makes 1 + (arms named) + len(pairs) DenseNet.forward calls:
+    seven for estimate_effects' four pairs, five for estimate_factual_effects'
+    two factual ones, three for predict_outcomes' one.
+
     At one BLAS thread the result has the bits of one call on all rows; with
     more threads a fold of 2 * _BLOCK_ROWS rows or more can differ in the
     last bits, since threaded GEMM splits its rows by the size of each call.
@@ -170,36 +176,64 @@ def predict_outcomes(model: DtanetModel, X, head, mediator_arm):
     return _predict(model, _covariates(model, X), [(head, mediator_arm)])[0]
 
 
-def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
-    """Effect estimates at factual status t: decompose_effects of each head's
-    prediction with each arm's mediator representation, seven tape-free
-    forwards per row block, one mediator arm at a time.
-    """
+def _rows_and_status(model: DtanetModel, X, t):
+    """(X, t) as arrays, X checked by _covariates and t holding one status per row."""
     t = np.asarray(t)
     X = _covariates(model, X)
     if X.shape[0] != t.shape[0]:
         raise ValueError("X and t lengths disagree")
+    return X, t
+
+
+def estimate_effects(model: DtanetModel, X, t) -> EffectEstimates:
+    """Effect estimates at factual status t: decompose_effects of each head's
+    prediction with each arm's mediator representation, seven tape-free
+    forwards per row block, one mediator arm at a time. The cross-world
+    outcomes y(1, m(0)) and y(0, m(1)) serve only the mediated and direct
+    parts; estimate_factual_effects skips them.
+    """
+    X, t = _rows_and_status(model, X, t)
     pairs = [(h, m) for h in _ARMS for m in _ARMS]  # y1_m1, y1_m0, y0_m1, y0_m0
     return decompose_effects(*_predict(model, X, pairs), t)
 
 
-def decompose_effects(y1_m1, y1_m0, y0_m1, y0_m0, t) -> EffectEstimates:
-    """Effects at factual status t (length n, or 1 for every row) from the
-    four outcomes y1_m0 = y(1, m(0)) and so on: ite = y(1, m(1)) - y(0, m(0));
-    mte swaps the mediator arm at the factual treatment; dte swaps the
-    treatment at the factual (dte_at_t) or the other (dte_at_other) mediator."""
+def estimate_factual_effects(model: DtanetModel, X, t) -> FactualEstimates:
+    """factual_effects of y(1, m(1)) and y(0, m(0)) at factual status t: five
+    tape-free forwards per row block (phi, then psi_t and head_t, then psi_c
+    and head_c). Its fields hold the bits of estimate_effects' same fields.
+    """
+    X, t = _rows_and_status(model, X, t)
+    return factual_effects(*_predict(model, X, [(TREATED, TREATED), (CONTROL, CONTROL)]), t)
+
+
+def factual_effects(y1_m1, y0_m0, t) -> FactualEstimates:
+    """ite = y(1, m(1)) - y(0, m(0)), its mean (ate) and its mean over the
+    rows with factual status t == 1 (att; NaN without any) for t of length n,
+    or 1 for every row."""
     treated = np.broadcast_to(np.asarray(t) == 1, y1_m1.shape)
     ite = y1_m1 - y0_m0
+    return FactualEstimates(
+        ite=ite,
+        ate=float(np.mean(ite)) if ite.size else float("nan"),
+        att=float(np.mean(ite[treated])) if np.any(treated) else float("nan"),
+        pred_t=y1_m1, pred_c=y0_m0,
+    )
+
+
+def decompose_effects(y1_m1, y1_m0, y0_m1, y0_m0, t) -> EffectEstimates:
+    """Effects at factual status t (length n, or 1 for every row) from the
+    four outcomes y1_m0 = y(1, m(0)) and so on: factual_effects' ite, ate and
+    att; mte swaps the mediator arm at the factual treatment; dte swaps the
+    treatment at the factual (dte_at_t) or the other (dte_at_other) mediator."""
+    treated = np.broadcast_to(np.asarray(t) == 1, y1_m1.shape)
     mte_at_t = np.where(treated, y1_m1 - y1_m0, y0_m1 - y0_m0)
     dte_at_t = np.where(treated, y1_m1 - y0_m1, y1_m0 - y0_m0)
     dte_at_other = np.where(treated, y1_m0 - y0_m0, y1_m1 - y0_m1)
     return EffectEstimates(
-        ite=ite, mte_at_t=mte_at_t, dte_at_t=dte_at_t, dte_at_other=dte_at_other,
-        ate=float(np.mean(ite)) if ite.size else float("nan"),
-        att=float(np.mean(ite[treated])) if np.any(treated) else float("nan"),
-        ame=float(np.mean(mte_at_t)) if ite.size else float("nan"),
-        ade=float(np.mean(dte_at_t)) if ite.size else float("nan"),
-        pred_t=y1_m1, pred_c=y0_m0,
+        **vars(factual_effects(y1_m1, y0_m0, t)),
+        mte_at_t=mte_at_t, dte_at_t=dte_at_t, dte_at_other=dte_at_other,
+        ame=float(np.mean(mte_at_t)) if mte_at_t.size else float("nan"),
+        ade=float(np.mean(dte_at_t)) if dte_at_t.size else float("nan"),
     )
 
 

@@ -8,15 +8,18 @@ import subprocess
 import sys
 import tracemalloc
 import zipfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dtanet import nn
+from dtanet import cli, metrics, nn
+from dtanet.data import ObservationalDataset
 from dtanet.model import (DtanetModel, _row_blocks, decompose_effects,
-                          estimate_effects, init_model, load_checkpoint,
-                          predict_outcomes, represent, save_checkpoint)
+                          estimate_effects, estimate_factual_effects, init_model,
+                          load_checkpoint, predict_outcomes, save_checkpoint)
+from dtanet.synth import SynthConfig, generate
 
 
 def small_model(seed=0, d=4):
@@ -27,6 +30,12 @@ def small_model(seed=0, d=4):
 
 def constant_head(value, in_dim):
     return nn.DenseNet([np.zeros((1, in_dim))], [np.array([float(value)])])
+
+
+def represent(model, X):
+    """(Z, M_t, M_c): each representation net's tape-free output on X."""
+    return tuple(net.forward(X, tape=False)[0]
+                 for net in (model.phi, model.psi_t, model.psi_c))
 
 
 class TestRepresent:
@@ -56,8 +65,12 @@ class TestRepresent:
             np.testing.assert_allclose(M_c[i], m.psi_c.forward(X[i:i + 1])[0][0])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            represent(small_model(), np.ones((2, 7)))
+        m, X, t = small_model(), np.ones((2, 7)), np.array([1, 0])
+        with pytest.raises(ValueError, match="covariate width"):
+            predict_outcomes(m, X, "treated", "treated")
+        for estimate in (estimate_effects, estimate_factual_effects):
+            with pytest.raises(ValueError, match="covariate width"):
+                estimate(m, X, t)
 
 
 def predict_one(model, x, head, mediator_arm) -> float:
@@ -169,6 +182,20 @@ class TestEstimateEffects:
         estimate_effects(m, np.ones((3, 4)), np.array([1, 0, 1]))
         assert len(calls) == 7
         assert [calls.count(net) for net in m.bundles().values()] == [1, 1, 1, 2, 2]
+
+    def test_factual_path_runs_five_forward_passes(self, monkeypatch):
+        calls = []
+        original = nn.DenseNet.forward
+        monkeypatch.setattr(
+            nn.DenseNet, "forward",
+            lambda self, x, **kw: calls.append(self) or original(self, x, **kw))
+        m = small_model(21)
+        estimate_factual_effects(m, np.ones((3, 4)), np.array([1, 0, 1]))
+        assert calls == [m.phi, m.psi_t, m.head_t, m.psi_c, m.head_c]
+
+    def test_factual_path_rejects_unequal_lengths(self):
+        with pytest.raises(ValueError, match="lengths disagree"):
+            estimate_factual_effects(small_model(), np.ones((3, 4)), np.array([1, 0]))
 
     @pytest.mark.parametrize("arm", ["treated", "control"])
     def test_predict_outcomes_runs_three_forwards(self, monkeypatch, arm):
@@ -305,6 +332,20 @@ class TestRowBlocks:
         assert len(calls) == forwards
         assert sum(calls) == 7 * n
 
+    @pytest.mark.parametrize("n, forwards", [(1279, 5), (1280, 10)])
+    def test_evaluate_runs_five_forward_passes_per_block(self, monkeypatch, n, forwards):
+        calls = []
+        original = nn.DenseNet.forward
+        monkeypatch.setattr(
+            nn.DenseNet, "forward",
+            lambda self, x, **kw: calls.append(len(x)) or original(self, x, **kw))
+        rng = np.random.default_rng(n)
+        dataset = ObservationalDataset(np.ones((n, 4)), np.arange(n) % 2,
+                                       rng.standard_normal(n))
+        cli.evaluate_model(small_model(), dataset, np.arange(n))
+        assert len(calls) == forwards
+        assert sum(calls) == 5 * n
+
     def test_peak_memory_below_half_of_the_unblocked_one(self):
         m = square_model(200, 100, 0)
         rng = np.random.default_rng(1)
@@ -335,6 +376,49 @@ class TestRowBlocks:
         # about 5.3 MB against 19.7; tapes kept, one arm at a time, gives 9.2
         assert peaks[0] <= peaks[1] / 3
         assert results[0] == results[1]
+
+
+def assert_same_report(model, dataset, idx):
+    """evaluate_model's report on rows idx has, field by field, the repr of
+    effect_report's on estimate_effects' four-pairing estimate. Returns it."""
+    got = cli.evaluate_model(model, dataset, idx)
+    t = dataset.t[idx]
+    true_ite = dataset.true_ite()[idx] if dataset.has_ground_truth else None
+    want = metrics.effect_report(estimate_effects(model, dataset.X[idx], t), t, true_ite)
+    for f in fields(metrics.MetricsReport):
+        assert repr(getattr(got, f.name)) == repr(getattr(want, f.name)), f.name
+    return got
+
+
+class TestFactualPath:
+    """estimate_factual_effects, and evaluate_model through it, against
+    estimate_effects' seven forwards per row block."""
+
+    @pytest.mark.parametrize("n", [1279, 1280, 4001])
+    def test_fields_and_report_equal_the_four_pairing_ones(self, n):
+        dataset, _ = generate(SynthConfig(n=n, d=25, seed=n))
+        model = square_model(32, 25, n)
+        full = estimate_effects(model, dataset.X, dataset.t)
+        factual = estimate_factual_effects(model, dataset.X, dataset.t)
+        for f in fields(factual):
+            np.testing.assert_array_equal(getattr(factual, f.name), getattr(full, f.name),
+                                          err_msg=f.name)
+        report = assert_same_report(model, dataset, np.arange(n))
+        assert None not in (report.sqrt_pehe, report.eps_ate, report.eps_att,
+                            report.policy_risk)
+        assert report.eps_mte is None and report.eps_dte is None
+
+    def test_fold_without_treated_rows(self):
+        dataset, _ = generate(SynthConfig(n=1500, d=25, seed=3))
+        idx = np.flatnonzero(dataset.t == 0)
+        report = assert_same_report(square_model(32, 25, 3), dataset, idx)
+        assert report.eps_att is None and report.eps_ate is not None
+
+    def test_dataset_without_ground_truth(self):
+        generated, _ = generate(SynthConfig(n=1500, d=25, seed=4))
+        dataset = ObservationalDataset(generated.X, generated.t, generated.y)
+        report = assert_same_report(square_model(32, 25, 4), dataset, np.arange(1500))
+        assert report.sqrt_pehe is None and report.policy_risk is not None
 
 
 class TestModelInvariants:

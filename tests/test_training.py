@@ -465,7 +465,6 @@ class TestTrain:
         assert got == pytest.approx(min(vals))
 
     def test_validation_pass_runs_each_arm_through_its_own_nets(self, monkeypatch):
-        from dtanet.model import represent
         from dtanet.training import _validation_outcome_loss
 
         ds = self.make_data(n=120, seed=5)
@@ -474,9 +473,10 @@ class TestTrain:
         # reference: every representation on each arm's rows, as before
         t, y = ds.t[idx], ds.y[idx]
         preds = []
-        for arm, head, psi in ((1, model.head_t, 1), (0, model.head_c, 2)):
-            reps = represent(model, ds.X[idx][t == arm])
-            preds.append(head.forward(np.hstack([reps[0], reps[psi]]))[0][:, 0])
+        for arm, head, psi in ((1, model.head_t, model.psi_t), (0, model.head_c, model.psi_c)):
+            X = ds.X[idx][t == arm]
+            reps = [net.forward(X, tape=False)[0] for net in (model.phi, psi)]
+            preds.append(head.forward(np.hstack(reps))[0][:, 0])
         want = loss_outcome(preds[0], y[t == 1], preds[1], y[t == 0], 0.3)
         calls = []
         original = nn.DenseNet.forward
@@ -488,14 +488,13 @@ class TestTrain:
                          model.phi, model.psi_c, model.head_c]
 
     def test_orthogonality_shrinks_normalized_overlap(self):
-        from dtanet.model import represent
-
         ds = self.make_data(n=200, seed=42)
         cfg = tiny_cfg(epochs=60, batch_size_t=16, batch_size_c=16, seed=42,
                        lambda1=0.2)
 
         def overlap(model):
-            Z, M_t, M_c = represent(model, ds.X)
+            Z, M_t, M_c = (net.forward(ds.X, tape=False)[0]
+                           for net in (model.phi, model.psi_t, model.psi_c))
             num = np.linalg.norm(M_t.T @ Z) + np.linalg.norm(M_c.T @ Z)
             den = ((np.linalg.norm(M_t) + np.linalg.norm(M_c)) * np.linalg.norm(Z))
             return num / den
