@@ -140,8 +140,11 @@ def _arm_pass(psi, head, X, y, Z, dZ, weight, lambda1, psi_out, head_out):
 
     Runs the arm's mediator net and head forward and backward and writes
     d(L_y + lambda1 L_sim)/dZ into dZ. Returns (weighted L_y term, L_sim
-    term, psi gradient, head gradient).
+    term, psi gradient, head gradient), or (0.0, 0.0, None, None) for an arm
+    with no rows.
     """
+    if not len(X):
+        return 0.0, 0.0, None, None
     M, tape_psi = psi.forward(X)
     pred, tape_head = head.forward(np.hstack([Z, M]))
     pred = pred[:, 0]
@@ -174,7 +177,9 @@ def _transport(Z_t, Z_c, cfg: TrainConfig):
 
 
 def _update(model: DtanetModel, states, grads, names):
-    """Adam on each named bundle that has a gradient."""
+    """Adam on each named bundle that has a gradient; nothing without states."""
+    if not states:
+        return
     for name in names:
         if grads[name] is not None:
             nn.adam_step(states[name], getattr(model, name).theta, grads[name])
@@ -182,29 +187,34 @@ def _update(model: DtanetModel, states, grads, names):
 
 @contextmanager
 def _beside(worker, fn, *args):
-    """Run fn(*args) on the executor worker while the with-block runs.
+    """Run fn(*args) beside the with-block: on the executor worker while the
+    block runs, or, when worker is None, in the calling thread before it.
 
-    fn runs in a copy of the caller's context, so the caller's np.errstate
-    holds there too. Leaving the block waits for fn whatever happened; then
-    fn's exception, if any, is raised, unless the block raised its own. The
-    with-target is fn's future.
+    On the worker, fn runs in a copy of the caller's context, so the
+    caller's np.errstate holds there too. Leaving the block waits for fn
+    whatever happened; then fn's exception, if any, is raised, unless the
+    block raised its own. Inline, fn's exception is raised before the block
+    runs. The with-target is a function that returns fn's result.
     """
+    if worker is None:
+        result = fn(*args)
+        yield lambda: result
+        return
     future = worker.submit(contextvars.copy_context().run, fn, *args)
     try:
-        yield future
+        yield future.result
     finally:
         future.exception()
     future.result()
 
 
-# How a two-thread step shares the Adam updates: the worker takes these
-# bundles while the calling thread runs phi's backward pass and updates the
-# other two.
+# How a step shares the Adam updates: these bundles go beside phi's backward
+# pass, and the calling thread updates the other two after it.
 _WORKER_UPDATES = ("psi_t", "head_t", "head_c")
 
 
 def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
-                      out=None, states=None, worker=None):
+                      states=None, worker=None):
     """Assembled per-bundle gradients of the frozen-plan objective.
 
     phi runs once forward and once backward on the stacked batch (treated
@@ -214,20 +224,24 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
     Returns (grads, parts): grads maps bundle name -> flat gradient vector
     laid out like that net's theta (or None when that arm is absent from the
     batch pair); parts carries the loss values, the Sinkhorn residual, and
-    the frozen coupling. out, when given, maps bundle names to buffers of
-    those layouts, and each gradient is written into its buffer instead of a
-    new vector. With lambda2 = 0 the transport term is skipped: l_balan is 0,
-    and the residual and coupling stay NaN and None. A transport cost that
-    is not finite (the representations overflowed) raises
-    FloatingPointError. An arm whose outcomes and rows differ in number
-    raises ValueError.
+    the frozen coupling. With lambda2 = 0 the transport term is skipped:
+    l_balan is 0, and the residual and coupling stay NaN and None. A
+    transport cost that is not finite (the representations overflowed)
+    raises FloatingPointError. An arm whose outcomes and rows differ in
+    number raises ValueError.
 
-    states, when given, maps bundle names to Adam states, and every bundle
-    that has a gradient is then updated (train_step's path). worker, an
-    executor, is used when both arms have rows: it runs the treated arm
-    while this thread runs the control arm and the transport term, then
-    updates three bundles while this thread runs phi's backward pass and
-    updates phi and psi_c. Every number is the same as without it.
+    states, when given, maps bundle names to Adam states: each gradient is
+    written into its state's grad buffer, and every bundle that has a
+    gradient is updated (train_step's path). Without states each gradient
+    is a new vector.
+
+    A step is two jobs beside two blocks (_beside): the treated arm beside
+    the control arm and the transport term, then the psi_t, head_t and
+    head_c updates beside phi's backward pass and the phi and psi_c updates.
+    worker, an executor, runs the jobs while this thread runs the blocks;
+    without it, or when an arm has no rows, this thread runs each job before
+    its block, so the treated arm's tapes are freed before the control arm
+    allocates its own. Every number is the same either way.
     """
     X_t = np.asarray(X_t, dtype=float).reshape(-1, model.in_dim)
     X_c = np.asarray(X_c, dtype=float).reshape(-1, model.in_dim)
@@ -236,7 +250,9 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
         raise ValueError("both batches are empty")
     y_t = _arm_outcomes("treated", y_t, n_t)
     y_c = _arm_outcomes("control", y_c, n_c)
-    buffers = out or {}
+    if not (n_t and n_c):
+        worker = None
+    buffers = {name: s.grad for name, s in states.items()} if states else {}
     parts = {"l_y": 0.0, "l_sim": 0.0, "l_balan": 0.0,
              "sinkhorn_residual": math.nan, "gamma": None}
 
@@ -249,20 +265,12 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
                   1.0 - cfg.lambda0, cfg.lambda1, buffers.get("psi_c"),
                   buffers.get("head_c"))}
     balance = n_t and n_c and cfg.lambda2 > 0
-    two_threads = n_t and n_c and worker is not None
-    if two_threads:
-        with _beside(worker, _arm_pass, *arms["t"]) as treated:
-            control = _arm_pass(*arms["c"])
-            transport = _transport(Z_t, Z_c, cfg) if balance else None
-        done = {"t": treated.result(), "c": control}
-    else:
-        # one arm at a time, so that the first arm's tapes are freed before
-        # the second allocates its own
-        done = {arm: _arm_pass(*args) for arm, args in arms.items() if len(args[2])}
+    with _beside(worker, _arm_pass, *arms["t"]) as treated:
+        control = _arm_pass(*arms["c"])
         transport = _transport(Z_t, Z_c, cfg) if balance else None
 
     grads = dict.fromkeys(BUNDLES)
-    for arm, (l_y, l_sim, g_psi, g_head) in done.items():
+    for arm, (l_y, l_sim, g_psi, g_head) in (("t", treated()), ("c", control)):
         parts["l_y"] += l_y
         parts["l_sim"] += l_sim
         grads["psi_" + arm], grads["head_" + arm] = g_psi, g_head
@@ -272,16 +280,10 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
         parts["gamma"] = plan.gamma
         dZ_all[:n_t] += cfg.lambda2 * d_t
         dZ_all[n_t:] += cfg.lambda2 * d_c
-    if two_threads and states:
-        with _beside(worker, _update, model, states, grads, _WORKER_UPDATES):
-            grads["phi"], _ = model.phi.backward(tape_phi, dZ_all, input_grad=False,
-                                                 out=buffers.get("phi"))
-            _update(model, states, grads, ("phi", "psi_c"))
-    else:
+    with _beside(worker, _update, model, states, grads, _WORKER_UPDATES):
         grads["phi"], _ = model.phi.backward(tape_phi, dZ_all, input_grad=False,
                                              out=buffers.get("phi"))
-        if states:
-            _update(model, states, grads, BUNDLES)
+        _update(model, states, grads, ("phi", "psi_c"))
 
     parts["total"] = (parts["l_y"] + cfg.lambda1 * parts["l_sim"]
                       + cfg.lambda2 * parts["l_balan"])
@@ -290,15 +292,10 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
 
 def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c,
                cfg: TrainConfig, worker=None):
-    """One gradient step. Bundles with no samples in the batch are untouched.
-
-    Each bundle's gradient is written into its Adam state's grad buffer.
-    worker is compute_gradients'.
-    """
-    _, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg,
-                                 out={name: s.grad for name, s in states.items()},
-                                 states=states, worker=worker)
-    return parts
+    """One gradient step: compute_gradients with states. Bundles with no
+    samples in the batch are untouched; worker is compute_gradients'."""
+    return compute_gradients(model, X_t, y_t, X_c, y_c, cfg, states=states,
+                             worker=worker)[1]
 
 
 # train shares its steps with a second thread when rows x (mediator net +

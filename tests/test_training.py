@@ -7,6 +7,7 @@ import signal
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import asdict, astuple, fields, replace
 
@@ -305,7 +306,7 @@ def bundle_bits(grads):
 
 
 class TestGradientBuffers:
-    """Gradients written into the caller's buffers keep the allocating bits."""
+    """Gradients written into the Adam states' buffers keep the allocating bits."""
 
     @pytest.mark.parametrize("n_t, n_c", [(16, 9), (7, 0), (0, 5)])
     def test_buffers_give_the_allocating_bits(self, n_t, n_c):
@@ -315,16 +316,19 @@ class TestGradientBuffers:
         X_t, X_c = rng.standard_normal((n_t, 6)), rng.standard_normal((n_c, 6))
         y_t, y_c = rng.standard_normal(n_t), rng.standard_normal(n_c)
         want, want_parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg)
-        buffers = {name: np.full_like(net.theta, np.nan)
-                   for name, net in model.bundles().items()}
-        got, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg, out=buffers)
+        states = adam_states(model)
+        for state in states.values():
+            state.grad.fill(np.nan)
+        got, parts = compute_gradients(model, X_t, y_t, X_c, y_c, cfg, states=states)
         assert bundle_bits(got) == bundle_bits(want)
         assert parts["total"] == want_parts["total"]
         for name, g in got.items():
             if g is None:
-                assert np.isnan(buffers[name]).all(), name
+                assert np.isnan(states[name].grad).all(), name
+                assert states[name].step == 0, name
             else:
-                assert g is buffers[name], name
+                assert g is states[name].grad, name
+                assert states[name].step == 1, name
 
     def test_train_step_fills_the_adam_states_buffers(self):
         ds, _ = generate(SynthConfig(n=80, d=5, seed=3))
@@ -650,6 +654,56 @@ class TestTwoThreadStep:
             with pytest.raises(FloatingPointError):
                 train(ds, tiny_cfg(alpha=1e200, epochs=3))
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+class TestInlineSchedule:
+    """Without a worker, each job runs in the calling thread before its block."""
+
+    def test_serial_step_frees_each_arms_tapes_before_the_other_arm_runs(self):
+        cfg = TrainConfig()
+        model = init_model(100, cfg.rep_dim, cfg.med_dim, cfg.phi_hidden, cfg.psi_hidden,
+                           cfg.head_hidden, np.random.default_rng(0))
+        states = adam_states(model)
+        rng = np.random.default_rng(404)
+        X_t, X_c = rng.standard_normal((64, 100)), rng.standard_normal((64, 100))
+        y_t, y_c = rng.standard_normal(64), rng.standard_normal(64)
+        peaks = []
+        for X_c_rows, y_c_rows in ((X_c, y_c), (X_c[:0], y_c[:0])):
+            tracemalloc.start()
+            try:
+                train_step(model, states, X_t, y_t, X_c_rows, y_c_rows, cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # about 3.3 MB against 2.6; with both arms' tapes alive at once, up to 5.0
+        assert peaks[0] < 1.4 * peaks[1]
+
+    @pytest.mark.parametrize("owner, name", [(training, "_arm_pass"), (nn, "adam_step")])
+    def test_failure_reaches_the_caller_and_the_next_step_runs(self, monkeypatch, owner,
+                                                               name):
+        """A failure in either inline job leaves every parameter and Adam state
+        as it was."""
+        original, failed = getattr(owner, name), []
+
+        def failing_once(*args, **kwargs):
+            if not failed:
+                failed.append(name)
+                raise FloatingPointError("injected")
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, failing_once)
+        cfg = tiny_cfg(lambda1=0.3, lambda2=0.7, lambda3=0.5)
+        rng = np.random.default_rng(405)
+        model = step_model()
+        states = adam_states(model)
+        X_t, X_c = rng.standard_normal((16, 6)), rng.standard_normal((9, 6))
+        y_t, y_c = rng.standard_normal(16), rng.standard_normal(9)
+        before = step_bits(model, states, {})
+        with pytest.raises(FloatingPointError, match="injected"):
+            train_step(model, states, X_t, y_t, X_c, y_c, cfg)
+        assert failed == [name]
+        assert step_bits(model, states, {}) == before
+        parts = train_step(model, states, X_t, y_t, X_c, y_c, cfg)
+        assert math.isfinite(parts["total"])
 
 
 class TestTwoThreadGate:
