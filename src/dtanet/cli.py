@@ -172,11 +172,11 @@ def cmd_gridsearch(args) -> int:
     _, train_cfg = _configs(args)
     if train_cfg.epochs < 1:
         raise UsageError("gridsearch needs epochs >= 1 to score each cell")
+    l1_values, l2_values = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
     dataset = load_csv(args.data)
     if len(split(dataset.n, train_cfg.seed).validation) == 0:
         raise DataError(f"gridsearch needs 6 rows for a validation row, got {dataset.n}")
     out = _outdir(args)
-    l1_values, l2_values = _parse_grid(args.grid) if args.grid else DEFAULT_GRID
     rows = []
     for lam1 in l1_values:
         for lam2 in l2_values:
@@ -220,7 +220,6 @@ def cmd_explain(args) -> int:
     if args.trials < 2:
         raise UsageError("--trials must be at least 2")
     synth_cfg, train_cfg = _configs(args)
-    out = _outdir(args)
     source = load_csv(args.data) if args.data else None
     first = source if source is not None else generate(synth_cfg)[0]
     groups = [tuple(g.split(",")) for g in args.exclude] if args.exclude \
@@ -233,6 +232,7 @@ def cmd_explain(args) -> int:
                              "(the baseline is labelled 'baseline')")
     for group in groups:
         first.drop_covariates(group)  # raises DataError for an unknown name
+    out = _outdir(args)
 
     def dataset_for(trial, drop):
         if source is not None:
@@ -268,10 +268,10 @@ def cmd_sensitivity(args) -> int:
     if args.trials < 1:
         raise UsageError("--trials must be at least 1")
     synth_cfg, train_cfg = _configs(args)
-    out = _outdir(args)
     rhos = sorted(set(args.rho if args.rho else [0.0]))
     if not all(-1 <= r <= 1 for r in rhos):
         raise UsageError("every --rho must lie in [-1, 1]")
+    out = _outdir(args)
 
     def draws(rho, true_ames):
         for trial in range(args.trials):

@@ -259,10 +259,13 @@ def load_checkpoint(path):
     """Inverse of save_checkpoint: returns (model, config dict).
 
     Raises DataError for a file that is not an .npz archive of plain arrays
-    (pickled data is refused), for another checkpoint_version, for a stored
-    seed that is not an integer >= 0 (a missing one is fine), for stored
-    covariate_names that are not in_dim distinct strings (missing ones are
-    fine), and for a missing or malformed network.
+    (pickled data is refused), for a checkpoint_version other than the
+    integer scalar CHECKPOINT_VERSION, for a stored seed that is not an
+    integer >= 0 (a missing one is fine), for stored covariate_names that
+    are not in_dim distinct strings (missing ones are fine), for a missing
+    or malformed network, and for any entry besides checkpoint_version,
+    config_json and each net's layer0 to layer{k-1} weight and bias (so a
+    gap in a net's layers is refused, not read as a shorter net).
     """
     try:
         data = np.load(path, allow_pickle=False)
@@ -272,8 +275,9 @@ def load_checkpoint(path):
             if "checkpoint_version" not in data:
                 raise DataError("no checkpoint_version entry")
             version = data["checkpoint_version"]
-            if version.shape != () or int(version) != CHECKPOINT_VERSION:
-                raise DataError(f"unsupported checkpoint version {version}, "
+            if not (version.shape == () and version.dtype.kind in "iu"
+                    and version == CHECKPOINT_VERSION):
+                raise DataError(f"unsupported checkpoint version {version.tolist()!r}, "
                                 f"expected {CHECKPOINT_VERSION}")
             config = json.loads(str(data["config_json"]))
             if not isinstance(config, dict):
@@ -281,17 +285,21 @@ def load_checkpoint(path):
             seed = config.get("seed", 0)
             if type(seed) is not int or seed < 0:
                 raise DataError(f"stored seed {seed!r} is not an integer >= 0")
-            nets = {}
+            nets, read = {}, {"checkpoint_version", "config_json"}
             for name in BUNDLES:
                 weights, biases = [], []
                 k = 0
                 while f"{name}.layer{k}.weight" in data:
                     weights.append(data[f"{name}.layer{k}.weight"])
                     biases.append(data[f"{name}.layer{k}.bias"])
+                    read.update((f"{name}.layer{k}.weight", f"{name}.layer{k}.bias"))
                     k += 1
                 if not weights:
                     raise DataError(f"the {name} network is missing")
                 nets[name] = DenseNet(weights, biases)
+            unread = sorted(set(data.files) - read)
+            if unread:
+                raise DataError(f"entries outside the layer chains: {', '.join(unread)}")
         model = DtanetModel(**nets)
         names = config.get("covariate_names")
         if names is not None and not (

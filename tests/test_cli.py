@@ -13,6 +13,7 @@ import pytest
 
 from dtanet.cli import (DEFAULT_GRID, EXIT_DATA, EXIT_NUMERICAL, EXIT_OK,
                         EXIT_USAGE, UsageError, _parse_grid, load_config, main)
+from dtanet.model import init_model, save_checkpoint
 
 TINY_CONFIG = {
     "n": 120, "d": 6, "epochs": 3,
@@ -301,9 +302,9 @@ class TestBadInput:
         assert code == EXIT_DATA
         return only_error_line(capsys)
 
-    def _rewritten(self, workspace, tmp_path, change):
+    def _rewritten(self, workspace, tmp_path, change, source=None):
         *_, run = workspace
-        with np.load(run / "checkpoint.npz") as archive:
+        with np.load(source or run / "checkpoint.npz") as archive:
             arrays = dict(archive)
         change(arrays)
         path = tmp_path / "changed.npz"
@@ -350,6 +351,34 @@ class TestBadInput:
         ckpt = self._rewritten(workspace, tmp_path, bump)
         assert "unsupported checkpoint version 99" in self._evaluate(
             workspace, ckpt, tmp_path, capsys)
+
+    @pytest.mark.parametrize("stored", [np.array(1.9), np.array(True), np.array("1")],
+                             ids=["float", "bool", "string"])
+    def test_checkpoint_version_that_is_not_an_integer(self, workspace, tmp_path, capsys,
+                                                       stored):
+        def retype(arrays):
+            arrays["checkpoint_version"] = stored
+        ckpt = self._rewritten(workspace, tmp_path, retype)
+        line = self._evaluate(workspace, ckpt, tmp_path, capsys)
+        assert line.startswith("data error:") and "unsupported checkpoint version" in line
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("change, entries", [
+        (lambda arrays: [arrays.pop(f"psi_t.layer1.{p}") for p in ("weight", "bias")],
+         "psi_t.layer2.bias, psi_t.layer2.weight"),
+        (lambda arrays: arrays.update(note=np.array(0)), "note"),
+    ], ids=["missing-middle-layer", "stray-entry"])
+    def test_checkpoint_with_entries_outside_the_layer_chains(self, workspace, tmp_path,
+                                                              capsys, change, entries):
+        """psi_t has three layers; its first alone would still chain into the head."""
+        deep = tmp_path / "deep.npz"
+        save_checkpoint(deep, init_model(6, 4, 4, (4,), (4, 4), (4,),
+                                         np.random.default_rng(0)), {"seed": 0})
+        ckpt = self._rewritten(workspace, tmp_path, change, deep)
+        assert self._evaluate(workspace, ckpt, tmp_path, capsys) == (
+            f"data error: {ckpt}: not a usable dtanet checkpoint: "
+            f"entries outside the layer chains: {entries}")
+        assert not (tmp_path / "eval" / "metrics.csv").exists()
 
     def test_checkpoint_missing_network(self, workspace, tmp_path, capsys):
         def drop_head(arrays):
@@ -796,6 +825,25 @@ class TestValueChecks:
         assert code == EXIT_USAGE
         assert only_error_line(capsys) == "error: --trials must be at least 1"
         assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("argv, code", [
+        (["sensitivity", "--rho", "2"], EXIT_USAGE),
+        (["gridsearch", "--grid", "abc"], EXIT_USAGE),
+        (["explain", "--exclude", "x1", "--exclude", "x1"], EXIT_USAGE),
+        (["explain", "--exclude", "bogus"], EXIT_DATA),
+    ], ids=["sensitivity-rho", "gridsearch-grid", "explain-repeated-group",
+            "explain-unknown-covariate"])
+    def test_rejected_command_creates_no_out_directory(self, workspace, tmp_path, capsys,
+                                                        argv, code):
+        _, cfg, data, _ = workspace
+        out = tmp_path / "out"
+        args = [*argv, "--config", cfg, "--out", str(out)]
+        if argv[0] == "gridsearch":
+            args += ["--data", data]
+        capsys.readouterr()
+        assert main(args) == code
+        only_error_line(capsys)
+        assert not out.exists()
 
 
 def test_explain_runs_without_scipy(tmp_path):

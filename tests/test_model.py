@@ -394,10 +394,13 @@ class TestFactualPath:
     """estimate_factual_effects, and evaluate_model through it, against
     estimate_effects' seven forwards per row block."""
 
-    @pytest.mark.parametrize("n", [1279, 1280, 4001])
-    def test_fields_and_report_equal_the_four_pairing_ones(self, n):
-        dataset, _ = generate(SynthConfig(n=n, d=25, seed=n))
-        model = square_model(32, 25, n)
+    @pytest.mark.parametrize("n, d, width", [
+        (1279, 25, 32), (1280, 25, 32), (4001, 25, 32),
+        (8000, 100, 200)], ids=["1279", "1280", "4001", "8000-d100-width200"])
+    def test_fields_and_report_equal_the_four_pairing_ones(self, n, d, width):
+        """The last case is a default-width model on 8000 rows, 13 row blocks."""
+        dataset, _ = generate(SynthConfig(n=n, d=d, seed=n))
+        model = square_model(width, d, n)
         full = estimate_effects(model, dataset.X, dataset.t)
         factual = estimate_factual_effects(model, dataset.X, dataset.t)
         for f in fields(factual):

@@ -574,14 +574,23 @@ class TestTwoThreadStep:
         finally:
             sys.setswitchinterval(interval)
 
-    @pytest.mark.parametrize("overrides", [{}, {"lambda2": 0.0}, {"lambda1": 0.0}])
+    @pytest.mark.parametrize("overrides", [{}, {"lambda2": 0.0}, {"lambda1": 0.0},
+                                           pytest.param(None, id="default-width")])
     def test_training_matches_the_serial_path_bit_for_bit(self, monkeypatch, overrides):
-        ds, _ = generate(SynthConfig(n=80, d=5, seed=6))
-        cfg = tiny_cfg(epochs=4, **overrides)
+        """None: one epoch of the default config on n = 600, d = 100. The
+        reference run is what a process pinned to one CPU runs."""
+        if overrides is None:
+            ds, _ = generate(SynthConfig(n=600, d=100, seed=6))
+            cfg = TrainConfig(epochs=1)
+        else:
+            ds, _ = generate(SynthConfig(n=80, d=5, seed=6))
+            cfg = tiny_cfg(epochs=4, **overrides)
         idx = np.arange(ds.n)
-        want_model, want_trace = train(ds, cfg, idx[:60], idx[60:])
+        cut = ds.n * 3 // 4
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        want_model, want_trace = train(ds, cfg, idx[:cut], idx[cut:])
         force_two_threads(monkeypatch)
-        model, trace = train(ds, cfg, idx[:60], idx[60:])
+        model, trace = train(ds, cfg, idx[:cut], idx[cut:])
         assert [replace(r, seconds=0.0) for r in trace] == \
             [replace(r, seconds=0.0) for r in want_trace]
         for name, net in model.bundles().items():
