@@ -66,6 +66,8 @@ def _configs(args, seed=None) -> tuple[SynthConfig, TrainConfig]:
 
 
 def _outdir(args) -> Path:
+    """--out, created if need be. Each command asks just before it writes its
+    first file, so one that fails earlier leaves no directory behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -106,9 +108,8 @@ def _trial(dataset, train_cfg):
 
 def cmd_generate(args) -> int:
     synth_cfg, _ = _configs(args)
-    out = _outdir(args)
     dataset, _ = generate(synth_cfg)
-    path = out / "dataset.csv"
+    path = _outdir(args) / "dataset.csv"
     write_csv(path, dataset)
     print(f"wrote {path} ({dataset.n} rows, {dataset.d} covariates)")
     return EXIT_OK
@@ -117,8 +118,8 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     _, train_cfg = _configs(args)
     dataset = load_csv(args.data)
-    out = _outdir(args)
     model, trace = _train_on(dataset, train_cfg)
+    out = _outdir(args)
     ckpt = out / "checkpoint.npz"
     save_checkpoint(ckpt, model,
                     {**asdict(train_cfg), "covariate_names": dataset.covariate_names})
@@ -143,14 +144,13 @@ def cmd_evaluate(args) -> int:
         raise DataError(f"{args.data}: covariate column {j + 1} is "
                         f"{dataset.covariate_names[j]!r}, the checkpoint's model "
                         f"was trained with {trained_on[j]!r} there")
-    out = _outdir(args)
     parts = split(dataset.n, train_cfg.seed)
     rows = []
     for scope, idx in (("in_sample", parts.validation), ("out_of_sample", parts.test)):
         if len(idx) == 0:
             continue
         rows.append([scope, *astuple(evaluate_model(model, dataset, idx))])
-    path = out / "metrics.csv"
+    path = _outdir(args) / "metrics.csv"
     write_rows(path, ["scope", *(f.name for f in fields(metrics.MetricsReport))], rows)
     print(f"wrote {path}")
     return EXIT_OK
@@ -176,7 +176,6 @@ def cmd_gridsearch(args) -> int:
     dataset = load_csv(args.data)
     if len(split(dataset.n, train_cfg.seed).validation) == 0:
         raise DataError(f"gridsearch needs 6 rows for a validation row, got {dataset.n}")
-    out = _outdir(args)
     rows = []
     for lam1 in l1_values:
         for lam2 in l2_values:
@@ -184,7 +183,7 @@ def cmd_gridsearch(args) -> int:
             _, trace, status = _trial(dataset, cell)
             val = min(rec.val_l_y for rec in trace) if trace else None
             rows.append([lam1, lam2, val, status])
-    write_rows(out / "grid.csv", ["lambda1", "lambda2", "val_l_y", "status"], rows)
+    write_rows(_outdir(args) / "grid.csv", ["lambda1", "lambda2", "val_l_y", "status"], rows)
     # min keeps the first of equal values, and a NaN in the first ok row
     best = min((r for r in rows if r[3] == "ok"), key=lambda r: r[2], default=None)
     if best is None:
@@ -232,7 +231,6 @@ def cmd_explain(args) -> int:
                              "(the baseline is labelled 'baseline')")
     for group in groups:
         first.drop_covariates(group)  # raises DataError for an unknown name
-    out = _outdir(args)
 
     def dataset_for(trial, drop):
         if source is not None:
@@ -246,6 +244,7 @@ def cmd_explain(args) -> int:
         samples[label] = _effect_samples(
             label, (dataset_for(trial, drop) for trial in range(args.trials)),
             train_cfg, sample_rows)
+    out = _outdir(args)
     write_rows(out / "explain_samples.csv",
                ["exclude", "trial", "ame", "ade", "status"], sample_rows)
 
@@ -271,7 +270,6 @@ def cmd_sensitivity(args) -> int:
     rhos = sorted(set(args.rho if args.rho else [0.0]))
     if not all(-1 <= r <= 1 for r in rhos):
         raise UsageError("every --rho must lie in [-1, 1]")
-    out = _outdir(args)
 
     def draws(rho, true_ames):
         for trial in range(args.trials):
@@ -289,6 +287,7 @@ def cmd_sensitivity(args) -> int:
                  (np.max, ame_list), (np.mean, ade_list), (np.std, ade_list))
         cells = [f(v) if ame_list else None for f, v in stats]
         summary_rows.append([rho, true_ames[-1], *cells, len(ame_list)])
+    out = _outdir(args)
     write_rows(out / "sensitivity_samples.csv",
                ["rho", "trial", "ame", "ade", "status"], sample_rows)
     write_rows(out / "sensitivity.csv",

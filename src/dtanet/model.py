@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import DataError
-from .nn import DenseNet, init_dense
+from .nn import DenseNet, _beside, _worker, init_dense
 
 TREATED = "treated"
 CONTROL = "control"
@@ -124,6 +124,19 @@ def _covariates(model: DtanetModel, X) -> np.ndarray:
 _BLOCK_ROWS = 640
 
 
+# _predict splits a row block between two threads when the block's rows
+# times the parameters of the forwards it runs reach this (nn._worker). At
+# one BLAS thread on a 2-vCPU VM, estimate_factual_effects at width 200
+# (d = 100) ran a 640-row block (3.5e8) 1.6-1.9x as fast split, 100 rows
+# (5.4e7) 0.95-1.3x and 40 rows (2.2e7) 0.77-1.05x; width 32 on 120 rows
+# (1.8e6) ran at 0.4-0.5x.
+_TWO_THREAD_WORK = 60_000_000
+# ... and when every layer wider than 1 has more than this many outputs on
+# the smaller half, so that no half takes OpenBLAS's small-matrix path
+# (the comment on _BLOCK_ROWS) where the whole block would not.
+_SMALL_GEMM = 1200
+
+
 def _row_blocks(n):
     """Slices [0, B), [B, 2B), ... of range(n) for B = _BLOCK_ROWS, the
     remainder merged into the last one: one slice of all n rows when n < 2B,
@@ -147,24 +160,53 @@ def _predict(model: DtanetModel, X, pairs):
     seven for estimate_effects' four pairs, five for estimate_factual_effects'
     two factual ones, three for predict_outcomes' one.
 
+    Where nn._worker opens for a block's rows times the parameters of those
+    forwards (and _SMALL_GEMM allows), the block is split in two: its first
+    half, rounded down to a multiple of 8 rows, runs the same forwards on the
+    worker thread while the calling thread runs the rest, so such a block
+    makes each of those calls twice, once per half. Both halves write into
+    the block's one [Z, M] matrix. The split point is a multiple of 8 rows
+    because OpenBLAS takes rows in groups counted from the first row of a
+    call (4 at a time in the heads' 1-wide output layer): a half that starts
+    inside a group of the whole block, at row 319 or 322 of 639, gives that
+    layer other bits, and one that starts at a multiple of 8 keeps them in
+    every case the tests try.
+
     At one BLAS thread the result has the bits of one call on all rows; with
     more threads a fold of 2 * _BLOCK_ROWS rows or more can differ in the
     last bits, since threaded GEMM splits its rows by the size of each call.
     """
     psis = {TREATED: model.psi_t, CONTROL: model.psi_c}
     heads = {TREATED: model.head_t, CONTROL: model.head_c}
+    arms = [(psis[arm], [(k, heads[h]) for k, (h, m) in enumerate(pairs) if m == arm])
+            for arm in _ARMS]
+    arms = [(psi, arm_heads) for psi, arm_heads in arms if arm_heads]
+    params = model.phi.theta.size + sum(
+        psi.theta.size + sum(head.theta.size for _, head in arm_heads)
+        for psi, arm_heads in arms)
+    narrowest = min((w.shape[0] for net in (model.phi, *psis.values(), *heads.values())
+                     for w in net.weights if w.shape[0] > 1), default=_SMALL_GEMM + 1)
     r_z = model.rep_dim
     out = np.empty((len(pairs), X.shape[0]))
-    for rows in _row_blocks(X.shape[0]):
-        H = np.empty((rows.stop - rows.start, r_z + model.med_dim))
+
+    def run(H, rows):
         H[:, :r_z] = model.phi.forward(X[rows], tape=False)[0]
-        for arm in _ARMS:
-            ks = [k for k, (_, m) in enumerate(pairs) if m == arm]
-            if not ks:
-                continue
-            H[:, r_z:] = psis[arm].forward(X[rows], tape=False)[0]
-            for k in ks:
-                out[k, rows] = heads[pairs[k][0]].forward(H, tape=False)[0][:, 0]
+        for psi, arm_heads in arms:
+            H[:, r_z:] = psi.forward(X[rows], tape=False)[0]
+            for k, head in arm_heads:
+                out[k, rows] = head.forward(H, tape=False)[0][:, 0]
+
+    for rows in _row_blocks(X.shape[0]):
+        size = rows.stop - rows.start
+        H = np.empty((size, r_z + model.med_dim))
+        mid = size // 16 * 8
+        split = narrowest * mid > _SMALL_GEMM
+        worker = _worker(size * params, _TWO_THREAD_WORK) if split else None
+        if worker is None:
+            run(H, rows)
+            continue
+        with _beside(worker, run, H[:mid], slice(rows.start, rows.start + mid)):
+            run(H[mid:], slice(rows.start + mid, rows.stop))
     return out
 
 

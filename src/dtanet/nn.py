@@ -9,11 +9,23 @@ out as [W0, b0, W1, b1, ...] with each array raveled in C order; the weight
 and bias arrays are views into it. backward returns its parameter gradients
 as one flat vector of the same layout (into a caller's buffer when given),
 and Adam updates theta in place.
+
+Training steps and inference share one worker thread per process (_worker
+decides when, _beside hands a job over); every number is the same with it
+and without it.
 """
 
 from __future__ import annotations
 
+import contextvars
+import ctypes
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -236,3 +248,69 @@ def adam_step(state: AdamState, theta, grad):
         t2 += state.eps
         t1 /= t2
         theta[part] -= t1
+
+
+@functools.cache
+def _blas_threads():
+    """The thread count of NumPy's OpenBLAS, asked once per process; None
+    when that library is not found."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libdir.glob("*openblas*")):
+        handle = ctypes.CDLL(str(lib))
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(handle, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn()
+    return None
+
+
+_WORKER_PREFIX = "dtanet-arm"
+
+
+@functools.cache
+def _executor(pid: int):
+    """Process pid's worker thread, started on first use. A forked child
+    asks with its own pid: its parent's worker thread does not exist there."""
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix=_WORKER_PREFIX)
+
+
+def _worker(work, threshold):
+    """The process's worker executor for a job of this much work, or None.
+
+    A second thread pays off only where BLAS runs one thread (at two, each
+    GEMM already uses both cores and the threads slow each other down), the
+    process may use two CPUs, and the work reaches the caller's threshold,
+    below which the hand-over costs more than it saves. The worker thread
+    itself gets None: its one-thread executor would wait on itself.
+    """
+    if (work < threshold or _blas_threads() != 1
+            or threading.current_thread().name.startswith(_WORKER_PREFIX)):
+        return None
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return _executor(os.getpid()) if cpus >= 2 else None
+
+
+@contextmanager
+def _beside(worker, fn, *args):
+    """Run fn(*args) beside the with-block: on the executor worker while the
+    block runs, or, when worker is None, in the calling thread before it.
+
+    On the worker, fn runs in a copy of the caller's context, so the
+    caller's np.errstate holds there too. Leaving the block waits for fn
+    whatever happened; then fn's exception, if any, is raised, unless the
+    block raised its own. Inline, fn's exception is raised before the block
+    runs. The with-target is a function that returns fn's result.
+    """
+    if worker is None:
+        result = fn(*args)
+        yield lambda: result
+        return
+    future = worker.submit(contextvars.copy_context().run, fn, *args)
+    try:
+        yield future.result
+    finally:
+        future.exception()
+    future.result()

@@ -16,17 +16,10 @@ receives all three loss terms.
 
 from __future__ import annotations
 
-import contextvars
-import ctypes
-import functools
 import math
 import numbers
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -185,29 +178,6 @@ def _update(model: DtanetModel, states, grads, names):
             nn.adam_step(states[name], getattr(model, name).theta, grads[name])
 
 
-@contextmanager
-def _beside(worker, fn, *args):
-    """Run fn(*args) beside the with-block: on the executor worker while the
-    block runs, or, when worker is None, in the calling thread before it.
-
-    On the worker, fn runs in a copy of the caller's context, so the
-    caller's np.errstate holds there too. Leaving the block waits for fn
-    whatever happened; then fn's exception, if any, is raised, unless the
-    block raised its own. Inline, fn's exception is raised before the block
-    runs. The with-target is a function that returns fn's result.
-    """
-    if worker is None:
-        result = fn(*args)
-        yield lambda: result
-        return
-    future = worker.submit(contextvars.copy_context().run, fn, *args)
-    try:
-        yield future.result
-    finally:
-        future.exception()
-    future.result()
-
-
 # How a step shares the Adam updates: these bundles go beside phi's backward
 # pass, and the calling thread updates the other two after it.
 _WORKER_UPDATES = ("psi_t", "head_t", "head_c")
@@ -235,7 +205,7 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
     gradient is updated (train_step's path). Without states each gradient
     is a new vector.
 
-    A step is two jobs beside two blocks (_beside): the treated arm beside
+    A step is two jobs beside two blocks (nn._beside): the treated arm beside
     the control arm and the transport term, then the psi_t, head_t and
     head_c updates beside phi's backward pass and the phi and psi_c updates.
     worker, an executor, runs the jobs while this thread runs the blocks;
@@ -265,7 +235,7 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
                   1.0 - cfg.lambda0, cfg.lambda1, buffers.get("psi_c"),
                   buffers.get("head_c"))}
     balance = n_t and n_c and cfg.lambda2 > 0
-    with _beside(worker, _arm_pass, *arms["t"]) as treated:
+    with nn._beside(worker, _arm_pass, *arms["t"]) as treated:
         control = _arm_pass(*arms["c"])
         transport = _transport(Z_t, Z_c, cfg) if balance else None
 
@@ -280,7 +250,7 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
         parts["gamma"] = plan.gamma
         dZ_all[:n_t] += cfg.lambda2 * d_t
         dZ_all[n_t:] += cfg.lambda2 * d_c
-    with _beside(worker, _update, model, states, grads, _WORKER_UPDATES):
+    with nn._beside(worker, _update, model, states, grads, _WORKER_UPDATES):
         grads["phi"], _ = model.phi.backward(tape_phi, dZ_all, input_grad=False,
                                              out=buffers.get("phi"))
         _update(model, states, grads, ("phi", "psi_c"))
@@ -305,42 +275,11 @@ def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c,
 _TWO_THREAD_WORK = 3_400_000
 
 
-@functools.cache
-def _blas_threads():
-    """The thread count of NumPy's OpenBLAS, asked once per process; None
-    when that library is not found."""
-    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for lib in sorted(libdir.glob("*openblas*")):
-        handle = ctypes.CDLL(str(lib))
-        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                       "openblas_get_num_threads"):
-            fn = getattr(handle, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_int
-                return fn()
-    return None
-
-
-@functools.cache
-def _executor(pid: int):
-    """Process pid's worker thread, started on first use. A forked child
-    asks with its own pid: its parent's worker thread does not exist there."""
-    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="dtanet-arm")
-
-
 def _step_worker(model: DtanetModel, rows: int):
-    """The executor that train's steps share their work with, or None.
-
-    A second thread pays off only where BLAS runs one thread (at two, each
-    GEMM already uses both cores and the arms slow each other down), the
-    process may use two CPUs, and the arms' work outweighs the hand-over.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    """The executor that train's steps share their work with, or None:
+    nn._worker's verdict on the arms' work."""
     work = rows * (model.psi_t.theta.size + model.head_t.theta.size)
-    if work < _TWO_THREAD_WORK or cpus < 2 or _blas_threads() != 1:
-        return None
-    return _executor(os.getpid())
+    return nn._worker(work, _TWO_THREAD_WORK)
 
 
 def _validation_outcome_loss(model: DtanetModel, dataset, idx, lambda0: float) -> float:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -456,6 +457,35 @@ class TestBadInput:
             f"data error: {ckpt}: not a usable dtanet checkpoint: "
             f"stored seed {json.loads(seed)!r} is not an integer >= 0")
 
+    @pytest.mark.parametrize("command, message", [
+        ("train", "at least one treated and one control"),
+        ("evaluate", "need n >= 5 to split"),
+        ("gridsearch", "at least one treated and one control"),
+        ("explain", "need n >= 5 to split"),
+        ("sensitivity", "need n >= 5 to split"),
+    ], ids=["train", "evaluate", "gridsearch", "explain", "sensitivity"])
+    def test_data_error_leaves_no_out_directory(self, workspace, tmp_path, capsys,
+                                                 command, message):
+        """train and gridsearch on a CSV without treated rows, evaluate on a
+        4-row CSV, the sweeps on 4-row draws: each fails before it writes."""
+        _, cfg, data, run = workspace
+        out = tmp_path / "out"
+        args = [command, "--out", str(out)]
+        if command in ("train", "gridsearch"):
+            args += ["--config", cfg, "--data", rewritten_csv(data, tmp_path, all_control)]
+        if command == "gridsearch":
+            args += ["--grid", "0.1x0.3"]
+        if command == "evaluate":
+            args += ["--config", cfg, "--checkpoint", str(run / "checkpoint.npz"),
+                     "--data", rewritten_csv(data, tmp_path, lambda rows: rows[:5])]
+        if command in ("explain", "sensitivity"):
+            args += ["--config", write_config(tmp_path, {"n": 4}), "--trials", "2"]
+        capsys.readouterr()
+        assert main(args) == EXIT_DATA
+        line = only_error_line(capsys)
+        assert line.startswith("data error: ") and message in line
+        assert not out.exists()
+
 
 class TestExplain:
     def test_exclusion_groups_and_distances(self, tmp_path):
@@ -858,3 +888,35 @@ def test_explain_runs_without_scipy(tmp_path):
     assert proc.returncode == EXIT_OK, proc.stderr
     rows = read_rows(tmp_path / "x" / "explain_distances.csv")
     assert [row[0] for row in rows] == ["exclude", "x1", "x2+x3"]
+
+
+def test_evaluate_with_the_worker_writes_the_one_cpu_bytes(tmp_path, monkeypatch):
+    """A default-width model scores 8000 rows: folds of 1280 and 1600 rows,
+    two row blocks each. With two CPUs and one BLAS thread each block is
+    split with the worker thread; metrics.csv has the bytes of a process
+    pinned to one CPU, at any BLAS thread count."""
+    from dtanet import nn
+    from dtanet.data import write_csv
+    from dtanet.synth import SynthConfig, generate
+    dataset, _ = generate(SynthConfig(n=8000, d=100, seed=23))
+    data, ckpt = tmp_path / "data.csv", tmp_path / "checkpoint.npz"
+    write_csv(data, dataset)
+    width = (200, 200)
+    save_checkpoint(ckpt, init_model(100, 200, 200, width, width, width,
+                                     np.random.default_rng(23)),
+                    {"seed": 23, "covariate_names": dataset.covariate_names})
+    original, on_worker = nn.DenseNet.forward, []
+
+    def recording(self, x, **kw):
+        on_worker.append(threading.current_thread().name.startswith(nn._WORKER_PREFIX))
+        return original(self, x, **kw)
+    monkeypatch.setattr(nn.DenseNet, "forward", recording)
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out = tmp_path / f"cpus{len(cpus)}"
+        assert main(["evaluate", "--data", str(data), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == EXIT_OK
+        written.append((out / "metrics.csv").read_bytes())
+    assert written[0] == written[1]
+    assert any(on_worker) == (nn._blas_threads() == 1)

@@ -6,8 +6,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 import zipfile
+from contextlib import contextmanager
 from dataclasses import fields
 from pathlib import Path
 
@@ -15,6 +17,7 @@ import numpy as np
 import pytest
 
 from dtanet import cli, metrics, nn
+from dtanet import model as dtanet_model
 from dtanet.data import ObservationalDataset
 from dtanet.model import (DtanetModel, _row_blocks, decompose_effects,
                           estimate_effects, estimate_factual_effects, init_model,
@@ -293,6 +296,78 @@ def at_blas_threads(threads, module, function):
     return proc.stdout.strip()
 
 
+@contextmanager
+def split_gate(open_):
+    """_predict's two-thread split forced open whatever the block, BLAS and
+    CPUs, or closed by a one-CPU affinity."""
+    with pytest.MonkeyPatch.context() as mp:
+        if open_:
+            mp.setattr(dtanet_model, "_TWO_THREAD_WORK", 0)
+            mp.setattr(nn, "_blas_threads", lambda: 1)
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        else:
+            mp.setattr(os, "sched_getaffinity", lambda pid: {0})
+        yield
+
+
+def worker_forwards(call):
+    """Row counts of the DenseNet.forward calls that call() ran on the worker thread."""
+    rows, original = [], nn.DenseNet.forward
+
+    def counting(self, x, **kw):
+        if threading.current_thread().name.startswith(nn._WORKER_PREFIX):
+            rows.append(len(x))
+        return original(self, x, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(nn.DenseNet, "forward", counting)
+        call()
+    return rows
+
+
+def inference_bytes(model, X, t):
+    """estimate_effects', estimate_factual_effects' and predict_outcomes' bits."""
+    return (estimate_bytes(estimate_effects(model, X, t)),
+            estimate_bytes(estimate_factual_effects(model, X, t)),
+            predict_outcomes(model, X, "control", "treated").tobytes())
+
+
+def split_rule_mismatches():
+    """(width, d, n) cases where inference with every row block split between
+    two threads differs from the gate-closed bits. Run at one BLAS thread."""
+    mismatches = []
+    for width, d in itertools.product((32, 200), (25, 100)):
+        model = square_model(width, d, seed=1000 * width + d)
+        rng = np.random.default_rng(d)
+        X, t = rng.standard_normal((9999, d)), rng.integers(0, 2, 9999)
+        for n in (639, 640, 1279, 1281, 4001, 9999):
+            with split_gate(False):
+                want = inference_bytes(model, X[:n], t[:n])
+            with split_gate(True):
+                if inference_bytes(model, X[:n], t[:n]) != want:
+                    mismatches.append((width, d, n))
+    return mismatches
+
+
+def midpoint_layer_diffs():
+    """Entries where a head's 1-wide output layer on 400 inputs, run on 639
+    rows split at row 319 and at row 320, differs from one call on all rows.
+    Run at one BLAS thread."""
+    rng = np.random.default_rng(0)
+    x, w = rng.standard_normal((639, 400)), rng.standard_normal((1, 400))
+    whole = x @ w.T
+    return [int(np.count_nonzero(np.vstack([x[:mid] @ w.T, x[mid:] @ w.T]) != whole))
+            for mid in (319, 320)]
+
+
+def default_width_block_on_the_worker():
+    """Forwards that estimate_factual_effects on one 640-row block of a
+    default-width model runs on the worker thread, at the gate's own verdict."""
+    rng = np.random.default_rng(5)
+    X, t = rng.standard_normal((640, 100)), rng.integers(0, 2, 640)
+    return len(worker_forwards(
+        lambda: estimate_factual_effects(square_model(200, 100, 5), X, t)))
+
+
 class TestRowBlocks:
     def test_estimates_keep_the_unblocked_bits_at_one_blas_thread(self):
         assert at_blas_threads(1, "test_model", "block_rule_mismatches") == "[]"
@@ -347,6 +422,14 @@ class TestRowBlocks:
         assert sum(calls) == 5 * n
 
     def test_peak_memory_below_half_of_the_unblocked_one(self):
+        self.peak_memory_below_half_of_the_unblocked_one()
+
+    def test_peak_memory_below_half_of_the_unblocked_one_with_blocks_split(self):
+        with split_gate(True):
+            self.peak_memory_below_half_of_the_unblocked_one()
+
+    @staticmethod
+    def peak_memory_below_half_of_the_unblocked_one():
         m = square_model(200, 100, 0)
         rng = np.random.default_rng(1)
         X, t = rng.standard_normal((4000, 100)), rng.integers(0, 2, 4000)
@@ -361,6 +444,14 @@ class TestRowBlocks:
         assert peaks[0] < peaks[1] / 2
 
     def test_peak_memory_below_a_third_of_the_taped_two_arm_one(self):
+        self.peak_memory_below_a_third_of_the_taped_two_arm_one()
+
+    def test_peak_memory_below_a_third_of_the_taped_two_arm_one_with_blocks_split(self):
+        with split_gate(True):
+            self.peak_memory_below_a_third_of_the_taped_two_arm_one()
+
+    @staticmethod
+    def peak_memory_below_a_third_of_the_taped_two_arm_one():
         m = square_model(200, 100, 0)
         rng = np.random.default_rng(1)
         X, t = rng.standard_normal((4000, 100)), rng.integers(0, 2, 4000)
@@ -376,6 +467,110 @@ class TestRowBlocks:
         # about 5.3 MB against 19.7; tapes kept, one arm at a time, gives 9.2
         assert peaks[0] <= peaks[1] / 3
         assert results[0] == results[1]
+
+
+class TestSplitBlocks:
+    """A row block split between the caller and the worker thread keeps the
+    bits of the gate-closed path; the gate opens only where a split pays."""
+
+    def test_split_blocks_keep_the_gate_closed_bits_at_one_blas_thread(self):
+        assert at_blas_threads(1, "test_model", "split_rule_mismatches") == "[]"
+
+    def test_an_odd_midpoint_changes_bits_and_an_8_aligned_one_does_not(self):
+        """OpenBLAS takes the 1-wide layer's rows in groups of 4."""
+        odd, aligned = json.loads(at_blas_threads(1, "test_model", "midpoint_layer_diffs"))
+        assert odd > 0 and aligned == 0
+
+    def test_each_half_runs_every_forward_once(self):
+        m = square_model(32, 25, 6)
+        rng = np.random.default_rng(6)
+        X, t = rng.standard_normal((1281, 25)), rng.integers(0, 2, 1281)
+        calls = []
+        original = nn.DenseNet.forward
+
+        def counting(self, x, **kw):
+            calls.append((threading.current_thread().name.startswith(nn._WORKER_PREFIX),
+                          len(x)))
+            return original(self, x, **kw)
+        with split_gate(True), pytest.MonkeyPatch.context() as mp:
+            mp.setattr(nn.DenseNet, "forward", counting)
+            estimate_factual_effects(m, X, t)
+        # blocks of 640 and 641 rows, each split at row 320
+        assert sorted(calls) == sorted(5 * [(False, 320), (True, 320), (False, 321),
+                                            (True, 320)])
+
+    def test_worker_failure_reaches_the_caller_and_the_next_call_runs(self, monkeypatch):
+        m = square_model(32, 25, 7)
+        rng = np.random.default_rng(7)
+        X, t = rng.standard_normal((1280, 25)), rng.integers(0, 2, 1280)
+        with split_gate(False):
+            want = estimate_bytes(estimate_factual_effects(m, X, t))
+        original, failed = nn.DenseNet.forward, []
+
+        def failing_on_the_worker(self, x, **kw):
+            if threading.current_thread().name.startswith(nn._WORKER_PREFIX) and not failed:
+                failed.append(self)
+                raise FloatingPointError("injected")
+            return original(self, x, **kw)
+        monkeypatch.setattr(nn.DenseNet, "forward", failing_on_the_worker)
+        with split_gate(True):
+            with pytest.raises(FloatingPointError, match="injected"):
+                estimate_factual_effects(m, X, t)
+            assert failed == [m.phi]
+            assert estimate_bytes(estimate_factual_effects(m, X, t)) == want
+
+    def test_the_worker_thread_runs_its_own_calls_whole(self):
+        """Inference called on the worker thread does not hand work to itself,
+        which would wait forever on a one-thread executor."""
+        m = square_model(32, 25, 10)
+        rng = np.random.default_rng(10)
+        X, t = rng.standard_normal((1280, 25)), rng.integers(0, 2, 1280)
+        with split_gate(False):
+            want = estimate_bytes(estimate_factual_effects(m, X, t))
+        with split_gate(True):
+            job = nn._executor(os.getpid()).submit(estimate_factual_effects, m, X, t)
+            assert estimate_bytes(job.result(timeout=30)) == want
+
+    def test_default_width_at_one_blas_thread_uses_the_worker(self):
+        if len(os.sched_getaffinity(0)) < 2 or nn._blas_threads() is None:
+            pytest.skip("needs two CPUs and NumPy's own OpenBLAS")
+        assert at_blas_threads(1, "test_model", "default_width_block_on_the_worker") == "5"
+
+    def test_two_blas_threads_stay_serial(self):
+        assert at_blas_threads(2, "test_model", "default_width_block_on_the_worker") == "0"
+
+    def test_one_cpu_stays_serial(self, monkeypatch):
+        monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert default_width_block_on_the_worker() == 0
+
+    def test_narrow_nets_and_small_calls_stay_serial(self, monkeypatch):
+        """sweep-narrow's shape (width 32, d 25: folds of 96 and 120 rows, a
+        trial's 600 rows), and a 40-row call at the default width."""
+        monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rng = np.random.default_rng(8)
+        narrow, wide = square_model(32, 25, 8), square_model(200, 100, 8)
+        X, t = rng.standard_normal((600, 25)), rng.integers(0, 2, 600)
+        X_wide = rng.standard_normal((40, 100))
+        assert not worker_forwards(lambda: (
+            estimate_factual_effects(narrow, X[:96], t[:96]),
+            estimate_factual_effects(narrow, X[:120], t[:120]),
+            estimate_effects(narrow, X, t),
+            predict_outcomes(narrow, X, "treated", "treated"),
+            estimate_effects(wide, X_wide, t[:40])))
+        assert default_width_block_on_the_worker() == 5
+
+    def test_a_2_wide_mediator_stays_serial(self, monkeypatch):
+        """A half of 320 rows would put its 2-wide layer on OpenBLAS's
+        small-matrix path, which the whole block does not take."""
+        monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        wide = (200, 200)
+        m = init_model(100, 200, 2, wide, wide, wide, np.random.default_rng(9))
+        rng = np.random.default_rng(9)
+        X, t = rng.standard_normal((640, 100)), rng.integers(0, 2, 640)
+        assert not worker_forwards(lambda: estimate_factual_effects(m, X, t))
 
 
 def assert_same_report(model, dataset, idx):

@@ -517,13 +517,13 @@ class RefusingWorker:
 
 def worker():
     """This process's worker thread."""
-    return training._executor(os.getpid())
+    return nn._executor(os.getpid())
 
 
 def force_two_threads(monkeypatch):
     """Open train's gate to the worker thread, whatever the model, BLAS and CPUs."""
     monkeypatch.setattr(training, "_TWO_THREAD_WORK", 0)
-    monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
 
 
@@ -719,7 +719,7 @@ class TestTwoThreadGate:
     """train takes the worker only where it can pay off."""
 
     def test_default_width_at_one_blas_thread_uses_the_worker(self):
-        if len(os.sched_getaffinity(0)) < 2 or training._blas_threads() is None:
+        if len(os.sched_getaffinity(0)) < 2 or nn._blas_threads() is None:
             pytest.skip("needs two CPUs and NumPy's own OpenBLAS")
         assert at_blas_threads(1, "test_training", "gate_at_default_width") == "True"
 
@@ -727,12 +727,12 @@ class TestTwoThreadGate:
         assert at_blas_threads(2, "test_training", "gate_at_default_width") == "False"
 
     def test_one_cpu_stays_serial(self, monkeypatch):
-        monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         assert not gate_at_default_width()
 
     def test_narrow_nets_stay_serial(self, monkeypatch):
-        monkeypatch.setattr(training, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         model = init_model(25, 32, 32, (32, 32), (32, 32), (32, 32),
                            np.random.default_rng(0))
