@@ -356,6 +356,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        out = Path(args.out).absolute()
+        if not next(p for p in (out, *out.parents) if p.exists()).is_dir():
+            raise NotADirectoryError(f"--out {args.out}: a file is in the way")
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -281,11 +281,11 @@ def _worker(work, threshold):
 
     A second thread pays off only where BLAS runs one thread (at two, each
     GEMM already uses both cores and the threads slow each other down), the
-    process may use two CPUs, and the work reaches the caller's threshold,
-    below which the hand-over costs more than it saves. The worker thread
-    itself gets None: its one-thread executor would wait on itself.
+    process may use two CPUs, and the work is nonzero and reaches the
+    caller's threshold, below which the hand-over costs more than it saves.
+    The worker thread gets None: its one-thread executor would wait on itself.
     """
-    if (work < threshold or _blas_threads() != 1
+    if (work < max(threshold, 1) or _blas_threads() != 1
             or threading.current_thread().name.startswith(_WORKER_PREFIX)):
         return None
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

@@ -96,6 +96,14 @@ def _arm_outcomes(arm: str, y, n: int) -> np.ndarray:
     return y
 
 
+def _arm_batch(arm: str, X, y, width: int):
+    """X checked to be a float matrix of rows of this width, and y its outcomes."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != width:
+        raise ValueError(f"{arm} arm: batch of shape {X.shape}, not rows of width {width}")
+    return X, _arm_outcomes(arm, y, X.shape[0])
+
+
 def loss_outcome(pred_t, y_t, pred_c, y_c, lambda0: float) -> float:
     """(lambda0/n_t) sum (pred_t - y_t)^2 + ((1-lambda0)/n_c) sum (pred_c - y_c)^2.
 
@@ -127,17 +135,19 @@ def loss_orthogonal(M_t, Z_t, M_c, Z_c) -> float:
     return total
 
 
-def _arm_pass(psi, head, X, y, Z, dZ, weight, lambda1, psi_out, head_out):
+def _arm_pass(model: DtanetModel, arm: str, X, y, Z, dZ, cfg: TrainConfig, buffers):
     """One arm's share of the gradients, given its rows' confounding
     representation Z.
 
-    Runs the arm's mediator net and head forward and backward and writes
-    d(L_y + lambda1 L_sim)/dZ into dZ. Returns (weighted L_y term, L_sim
-    term, psi gradient, head gradient), or (0.0, 0.0, None, None) for an arm
-    with no rows.
+    Runs psi_<arm> and head_<arm> (arm "t" or "c") forward and backward, into
+    their buffers if given, weighs L_y by lambda0 or 1 - lambda0, and writes
+    d(L_y + lambda1 L_sim)/dZ into dZ. Returns (weighted L_y term, L_sim term,
+    psi gradient, head gradient), or (0.0, 0.0, None, None) for no rows.
     """
     if not len(X):
         return 0.0, 0.0, None, None
+    psi, head = getattr(model, "psi_" + arm), getattr(model, "head_" + arm)
+    weight = cfg.lambda0 if arm == "t" else 1.0 - cfg.lambda0
     M, tape_psi = psi.forward(X)
     pred, tape_head = head.forward(np.hstack([Z, M]))
     pred = pred[:, 0]
@@ -148,12 +158,13 @@ def _arm_pass(psi, head, X, y, Z, dZ, weight, lambda1, psi_out, head_out):
     A = M.T @ Z
     l_sim = float(np.sum(A ** 2))
     # the head and mediator net need nothing from the transport plan
-    g_head, d_H = head.backward(tape_head, d_pred[:, None], out=head_out)
+    g_head, d_H = head.backward(tape_head, d_pred[:, None],
+                                out=buffers.get("head_" + arm))
     r_z = Z.shape[1]
-    dZ[...] = d_H[:, :r_z] + lambda1 * (2.0 * (M @ A))
-    dM = d_H[:, r_z:] + lambda1 * (2.0 * (Z @ A.T))
+    dZ[...] = d_H[:, :r_z] + cfg.lambda1 * (2.0 * (M @ A))
+    dM = d_H[:, r_z:] + cfg.lambda1 * (2.0 * (Z @ A.T))
     del tape_head, d_H
-    g_psi, _ = psi.backward(tape_psi, dM, input_grad=False, out=psi_out)
+    g_psi, _ = psi.backward(tape_psi, dM, input_grad=False, out=buffers.get("psi_" + arm))
     return l_y, l_sim, g_psi, g_head
 
 
@@ -178,13 +189,8 @@ def _update(model: DtanetModel, states, grads, names):
             nn.adam_step(states[name], getattr(model, name).theta, grads[name])
 
 
-# How a step shares the Adam updates: these bundles go beside phi's backward
-# pass, and the calling thread updates the other two after it.
-_WORKER_UPDATES = ("psi_t", "head_t", "head_c")
-
-
 def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
-                      states=None, worker=None):
+                      states=None):
     """Assembled per-bundle gradients of the frozen-plan objective.
 
     phi runs once forward and once backward on the stacked batch (treated
@@ -197,8 +203,8 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
     the frozen coupling. With lambda2 = 0 the transport term is skipped:
     l_balan is 0, and the residual and coupling stay NaN and None. A
     transport cost that is not finite (the representations overflowed)
-    raises FloatingPointError. An arm whose outcomes and rows differ in
-    number raises ValueError.
+    raises FloatingPointError. An arm whose batch is not rows of the model's
+    input width, or whose outcomes do not number its rows, raises ValueError.
 
     states, when given, maps bundle names to Adam states: each gradient is
     written into its state's grad buffer, and every bundle that has a
@@ -208,20 +214,17 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
     A step is two jobs beside two blocks (nn._beside): the treated arm beside
     the control arm and the transport term, then the psi_t, head_t and
     head_c updates beside phi's backward pass and the phi and psi_c updates.
-    worker, an executor, runs the jobs while this thread runs the blocks;
-    without it, or when an arm has no rows, this thread runs each job before
-    its block, so the treated arm's tapes are freed before the control arm
-    allocates its own. Every number is the same either way.
+    _step_worker's executor, if any, runs the jobs while this thread runs the
+    blocks; without it (always when an arm has no rows) this thread runs
+    each job before its block, so the treated arm's tapes are freed before
+    the control arm allocates its own. Every number is the same either way.
     """
-    X_t = np.asarray(X_t, dtype=float).reshape(-1, model.in_dim)
-    X_c = np.asarray(X_c, dtype=float).reshape(-1, model.in_dim)
+    X_t, y_t = _arm_batch("treated", X_t, y_t, model.in_dim)
+    X_c, y_c = _arm_batch("control", X_c, y_c, model.in_dim)
     n_t, n_c = X_t.shape[0], X_c.shape[0]
     if n_t == 0 and n_c == 0:
         raise ValueError("both batches are empty")
-    y_t = _arm_outcomes("treated", y_t, n_t)
-    y_c = _arm_outcomes("control", y_c, n_c)
-    if not (n_t and n_c):
-        worker = None
+    worker = _step_worker(model, min(n_t, n_c))
     buffers = {name: s.grad for name, s in states.items()} if states else {}
     parts = {"l_y": 0.0, "l_sim": 0.0, "l_balan": 0.0,
              "sinkhorn_residual": math.nan, "gamma": None}
@@ -229,14 +232,10 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
     Z_all, tape_phi = model.phi.forward(np.concatenate([X_t, X_c]))
     dZ_all = np.empty_like(Z_all)
     Z_t, Z_c = Z_all[:n_t], Z_all[n_t:]
-    arms = {"t": (model.psi_t, model.head_t, X_t, y_t, Z_t, dZ_all[:n_t], cfg.lambda0,
-                  cfg.lambda1, buffers.get("psi_t"), buffers.get("head_t")),
-            "c": (model.psi_c, model.head_c, X_c, y_c, Z_c, dZ_all[n_t:],
-                  1.0 - cfg.lambda0, cfg.lambda1, buffers.get("psi_c"),
-                  buffers.get("head_c"))}
     balance = n_t and n_c and cfg.lambda2 > 0
-    with nn._beside(worker, _arm_pass, *arms["t"]) as treated:
-        control = _arm_pass(*arms["c"])
+    with nn._beside(worker, _arm_pass, model, "t", X_t, y_t, Z_t, dZ_all[:n_t], cfg,
+                    buffers) as treated:
+        control = _arm_pass(model, "c", X_c, y_c, Z_c, dZ_all[n_t:], cfg, buffers)
         transport = _transport(Z_t, Z_c, cfg) if balance else None
 
     grads = dict.fromkeys(BUNDLES)
@@ -250,7 +249,7 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
         parts["gamma"] = plan.gamma
         dZ_all[:n_t] += cfg.lambda2 * d_t
         dZ_all[n_t:] += cfg.lambda2 * d_c
-    with nn._beside(worker, _update, model, states, grads, _WORKER_UPDATES):
+    with nn._beside(worker, _update, model, states, grads, ("psi_t", "head_t", "head_c")):
         grads["phi"], _ = model.phi.backward(tape_phi, dZ_all, input_grad=False,
                                              out=buffers.get("phi"))
         _update(model, states, grads, ("phi", "psi_c"))
@@ -260,15 +259,13 @@ def compute_gradients(model: DtanetModel, X_t, y_t, X_c, y_c, cfg: TrainConfig,
     return grads, parts
 
 
-def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c,
-               cfg: TrainConfig, worker=None):
+def train_step(model: DtanetModel, states: dict, X_t, y_t, X_c, y_c, cfg: TrainConfig):
     """One gradient step: compute_gradients with states. Bundles with no
-    samples in the batch are untouched; worker is compute_gradients'."""
-    return compute_gradients(model, X_t, y_t, X_c, y_c, cfg, states=states,
-                             worker=worker)[1]
+    samples in the batch are untouched."""
+    return compute_gradients(model, X_t, y_t, X_c, y_c, cfg, states=states)[1]
 
 
-# train shares its steps with a second thread when rows x (mediator net +
+# A step shares its work with a second thread when rows x (mediator net +
 # head parameters) of the smaller arm batch reaches this. At one BLAS thread
 # on a 2-vCPU VM (d = 100, batches of 64, all widths equal), two threads made
 # a width-88 step (3.1e6) 7% slower and a width-96 step (3.6e6) 15% faster.
@@ -276,8 +273,8 @@ _TWO_THREAD_WORK = 3_400_000
 
 
 def _step_worker(model: DtanetModel, rows: int):
-    """The executor that train's steps share their work with, or None:
-    nn._worker's verdict on the arms' work."""
+    """The executor that a step shares its work with, or None: nn._worker's
+    verdict on the arms' work. An arm with no rows has none to share."""
     work = rows * (model.psi_t.theta.size + model.head_t.theta.size)
     return nn._worker(work, _TWO_THREAD_WORK)
 
@@ -319,7 +316,6 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
 
     states = {name: nn.adam_init(net.theta, cfg.alpha, cfg.beta1, cfg.beta2)
               for name, net in model.bundles().items()}
-    worker = _step_worker(model, min(cfg.batch_size_t, cfg.batch_size_c))
     best_model, best_val = None, math.inf
     # overflow on the way to a divergence is caught by the finiteness checks
     # below, which raise FloatingPointError; NumPy's warnings only add noise
@@ -332,7 +328,7 @@ def train(dataset: ObservationalDataset, cfg: TrainConfig,
                 bt = sample_arm_batch(pool_t, cfg.batch_size_t, rng)
                 bc = sample_arm_batch(pool_c, cfg.batch_size_c, rng)
                 parts = train_step(model, states, dataset.X[bt], dataset.y[bt],
-                                   dataset.X[bc], dataset.y[bc], cfg, worker)
+                                   dataset.X[bc], dataset.y[bc], cfg)
                 if not math.isfinite(parts["total"]):
                     raise FloatingPointError(
                         f"non-finite loss at epoch {epoch}, batch {step}")

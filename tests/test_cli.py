@@ -487,6 +487,44 @@ class TestBadInput:
         assert not out.exists()
 
 
+class TestOutMustBeADirectory:
+    """An --out that no directory can be made at fails before any CSV is read,
+    any dataset generated or any model trained, and creates nothing."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        from dtanet import cli
+        calls = []
+        for name in ("load_csv", "generate", "train", "load_checkpoint"):
+            def refuse(*args, _name=name, **kwargs):
+                calls.append(_name)
+                raise AssertionError(f"{_name} ran")
+            monkeypatch.setattr(cli, name, refuse)
+        return calls
+
+    @pytest.mark.parametrize("under", [True, False], ids=["under-a-file", "a-file"])
+    @pytest.mark.parametrize("command", ["generate", "train", "evaluate", "gridsearch",
+                                         "explain", "sensitivity"])
+    def test_fails_first_with_one_file_error(self, workspace, tmp_path, capsys, no_work,
+                                             command, under):
+        _, cfg, data, run = workspace
+        blocker = tmp_path / "blocker"
+        blocker.write_text("kept\n")
+        out = blocker / "run" if under else blocker
+        args = {"generate": [],
+                "train": ["--data", data],
+                "evaluate": ["--data", data, "--checkpoint", str(run / "checkpoint.npz")],
+                "gridsearch": ["--data", data, "--grid", "0.1x0.3"],
+                "explain": ["--trials", "2"],
+                "sensitivity": ["--trials", "1"]}[command]
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(out), *args]) == EXIT_DATA
+        assert only_error_line(capsys) == f"file error: --out {out}: a file is in the way"
+        assert no_work == []
+        assert blocker.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blocker"]
+
+
 class TestExplain:
     def test_exclusion_groups_and_distances(self, tmp_path):
         cfg = write_config(tmp_path, {"n": 60, "epochs": 1})

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import signal
 import sys
 import threading
@@ -78,12 +79,38 @@ class TestOutcomeLengths:
         with pytest.raises(ValueError, match=message):
             loss_outcome(*args["treated"], *args["control"], 0.5)
 
-    def test_checked_before_the_worker_starts(self):
+    def test_checked_before_the_worker_starts(self, monkeypatch):
+        force_two_threads(monkeypatch)
+        refuse_the_worker(monkeypatch)
         rng = np.random.default_rng(12)
         with pytest.raises(ValueError, match="treated arm: 1 outcomes for 4 rows"):
             compute_gradients(tiny_model(), rng.standard_normal((4, 3)), [1.0],
-                              rng.standard_normal((3, 3)), np.zeros(3), tiny_cfg(),
-                              worker=RefusingWorker())
+                              rng.standard_normal((3, 3)), np.zeros(3), tiny_cfg())
+
+
+class TestBatchWidths:
+    """Each arm's batch must be rows of the model's input width; nothing is
+    reshaped into rows of another width."""
+
+    @pytest.mark.parametrize("arm, shape, n_y", [
+        ("treated", (2, 6), 4), ("treated", (4, 6), 4), ("control", (6,), 2),
+        ("control", (3, 2), 3)], ids=["treated-2x6", "treated-4x6", "control-1d",
+                                      "control-3x2"])
+    def test_compute_gradients_names_the_arm_the_shape_and_the_width(
+            self, monkeypatch, arm, shape, n_y):
+        """(2, 6) and (6,) once trained as rows of width 3; (4, 6) failed as
+        '4 outcomes for 8 rows'. The check runs before the gate opens."""
+        force_two_threads(monkeypatch)
+        refuse_the_worker(monkeypatch)
+        rng = np.random.default_rng(13)
+        batch = {"treated": (rng.standard_normal((4, 3)), np.zeros(4)),
+                 "control": (rng.standard_normal((3, 3)), np.zeros(3))}
+        batch[arm] = (rng.standard_normal(shape), np.zeros(n_y))
+        message = (rf"^{arm} arm: batch of shape {re.escape(str(shape))}, "
+                   r"not rows of width 3$")
+        with pytest.raises(ValueError, match=message):
+            compute_gradients(tiny_model(), *batch["treated"], *batch["control"],
+                              tiny_cfg())
 
 
 class TestLossOrthogonal:
@@ -515,16 +542,22 @@ class RefusingWorker:
         raise AssertionError("the worker was used")
 
 
-def worker():
-    """This process's worker thread."""
-    return nn._executor(os.getpid())
-
-
 def force_two_threads(monkeypatch):
-    """Open train's gate to the worker thread, whatever the model, BLAS and CPUs."""
+    """Open the step's gate to the worker thread, whatever the model, BLAS and
+    CPUs (an arm with no rows still stays on the calling thread)."""
     monkeypatch.setattr(training, "_TWO_THREAD_WORK", 0)
     monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+
+def refuse_the_worker(monkeypatch):
+    """Make the process's worker a RefusingWorker wherever the gate opens."""
+    monkeypatch.setattr(nn, "_executor", lambda pid: RefusingWorker())
+
+
+def one_cpu(monkeypatch):
+    """Close the gate as a process pinned to one CPU finds it."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 def step_model():
@@ -554,8 +587,9 @@ class TestTwoThreadStep:
     """The treated arm on the worker thread gives the serial path's bits."""
 
     @pytest.mark.parametrize("overrides", [{}, {"lambda2": 0.0}, {"lambda1": 0.0}])
-    def test_steps_match_the_serial_path_bit_for_bit(self, overrides):
-        """Also with the interpreter switching threads every microsecond."""
+    def test_steps_match_the_serial_path_bit_for_bit(self, monkeypatch, overrides):
+        """Also with the interpreter switching threads every microsecond. Each
+        serial step is what a process pinned to one CPU runs."""
         cfg = tiny_cfg(**{"lambda1": 0.3, "lambda2": 0.7, "lambda3": 0.5, **overrides})
         rng = np.random.default_rng(401)
         serial, threaded = step_model(), step_model()
@@ -566,9 +600,10 @@ class TestTwoThreadStep:
                 sys.setswitchinterval(1e-6 if step % 2 else interval)
                 X_t, X_c = rng.standard_normal((16, 6)), rng.standard_normal((9, 6))
                 y_t, y_c = rng.standard_normal(16), rng.standard_normal(9)
+                one_cpu(monkeypatch)
                 want = train_step(serial, s_states, X_t, y_t, X_c, y_c, cfg)
-                got = train_step(threaded, t_states, X_t, y_t, X_c, y_c, cfg,
-                                 worker())
+                force_two_threads(monkeypatch)
+                got = train_step(threaded, t_states, X_t, y_t, X_c, y_c, cfg)
                 assert (step_bits(threaded, t_states, got)
                         == step_bits(serial, s_states, want))
         finally:
@@ -597,16 +632,41 @@ class TestTwoThreadStep:
             assert net.theta.tobytes() == want_model.bundles()[name].theta.tobytes(), name
 
     @pytest.mark.parametrize("n_t, n_c", [(7, 0), (0, 5)])
-    def test_one_arm_batches_stay_on_the_calling_thread(self, n_t, n_c):
+    def test_one_arm_batches_stay_on_the_calling_thread(self, monkeypatch, n_t, n_c):
         cfg = tiny_cfg(lambda1=0.3, lambda2=0.7, lambda3=0.5)
         rng = np.random.default_rng(402)
         X_t, X_c = rng.standard_normal((n_t, 6)), rng.standard_normal((n_c, 6))
         y_t, y_c = rng.standard_normal(n_t), rng.standard_normal(n_c)
         serial, inline = step_model(), step_model()
         s_states, i_states = adam_states(serial), adam_states(inline)
+        one_cpu(monkeypatch)
         want = train_step(serial, s_states, X_t, y_t, X_c, y_c, cfg)
-        got = train_step(inline, i_states, X_t, y_t, X_c, y_c, cfg, RefusingWorker())
+        force_two_threads(monkeypatch)
+        refuse_the_worker(monkeypatch)
+        got = train_step(inline, i_states, X_t, y_t, X_c, y_c, cfg)
         assert step_bits(inline, i_states, got) == step_bits(serial, s_states, want)
+
+    def test_a_default_width_step_runs_the_treated_arm_on_the_worker(self, monkeypatch):
+        """train_step asks the gate itself, at its own threshold: here one BLAS
+        thread and two CPUs open it for two 64-row arms."""
+        monkeypatch.setattr(nn, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        original, on_worker = training._arm_pass, {}
+
+        def recorded(*args):
+            on_worker[args[1]] = threading.current_thread().name.startswith(
+                nn._WORKER_PREFIX)
+            return original(*args)
+        monkeypatch.setattr(training, "_arm_pass", recorded)
+        cfg = TrainConfig()
+        model = init_model(100, cfg.rep_dim, cfg.med_dim, cfg.phi_hidden, cfg.psi_hidden,
+                           cfg.head_hidden, np.random.default_rng(0))
+        rng = np.random.default_rng(406)
+        X_t, X_c = rng.standard_normal((64, 100)), rng.standard_normal((64, 100))
+        y_t, y_c = rng.standard_normal(64), rng.standard_normal(64)
+        parts = train_step(model, adam_states(model), X_t, y_t, X_c, y_c, cfg)
+        assert math.isfinite(parts["total"])
+        assert on_worker == {"t": True, "c": False}
 
     @pytest.mark.parametrize("owner, name", [(training, "_arm_pass"), (nn, "adam_step")])
     def test_worker_failure_reaches_the_caller_and_the_next_step_runs(
@@ -620,6 +680,7 @@ class TestTwoThreadStep:
                 raise FloatingPointError("injected")
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, failing_on_the_worker)
+        force_two_threads(monkeypatch)
         cfg = tiny_cfg(lambda1=0.3, lambda2=0.7, lambda3=0.5)
         rng = np.random.default_rng(403)
         model = step_model()
@@ -627,9 +688,9 @@ class TestTwoThreadStep:
         X_t, X_c = rng.standard_normal((16, 6)), rng.standard_normal((9, 6))
         y_t, y_c = rng.standard_normal(16), rng.standard_normal(9)
         with pytest.raises(FloatingPointError, match="injected"):
-            train_step(model, states, X_t, y_t, X_c, y_c, cfg, worker())
+            train_step(model, states, X_t, y_t, X_c, y_c, cfg)
         assert failed == [name]
-        parts = train_step(model, states, X_t, y_t, X_c, y_c, cfg, worker())
+        parts = train_step(model, states, X_t, y_t, X_c, y_c, cfg)
         assert math.isfinite(parts["total"])
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -668,7 +729,11 @@ class TestTwoThreadStep:
 class TestInlineSchedule:
     """Without a worker, each job runs in the calling thread before its block."""
 
-    def test_serial_step_frees_each_arms_tapes_before_the_other_arm_runs(self):
+    def test_serial_step_frees_each_arms_tapes_before_the_other_arm_runs(self,
+                                                                         monkeypatch):
+        """A default-width step in a process pinned to one CPU, where the
+        gate stays closed."""
+        one_cpu(monkeypatch)
         cfg = TrainConfig()
         model = init_model(100, cfg.rep_dim, cfg.med_dim, cfg.phi_hidden, cfg.psi_hidden,
                            cfg.head_hidden, np.random.default_rng(0))
@@ -716,7 +781,20 @@ class TestInlineSchedule:
 
 
 class TestTwoThreadGate:
-    """train takes the worker only where it can pay off."""
+    """A step takes the worker only where it can pay off."""
+
+    @pytest.mark.parametrize("n_t, n_c", [(7, 0), (0, 5)])
+    def test_an_empty_arm_stays_serial_at_threshold_zero(self, monkeypatch, n_t, n_c):
+        """An arm with no rows has no work to share, whatever the threshold."""
+        force_two_threads(monkeypatch)
+        refuse_the_worker(monkeypatch)
+        model = step_model()
+        assert training._step_worker(model, 0) is None
+        rng = np.random.default_rng(407)
+        X_t, X_c = rng.standard_normal((n_t, 6)), rng.standard_normal((n_c, 6))
+        y_t, y_c = rng.standard_normal(n_t), rng.standard_normal(n_c)
+        _, parts = compute_gradients(model, X_t, y_t, X_c, y_c, tiny_cfg())
+        assert math.isfinite(parts["total"])
 
     def test_default_width_at_one_blas_thread_uses_the_worker(self):
         if len(os.sched_getaffinity(0)) < 2 or nn._blas_threads() is None:
